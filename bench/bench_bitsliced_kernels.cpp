@@ -1,25 +1,40 @@
-// Microbenchmark: scalar vs bit-sliced detection kernels (PR 3 tentpole).
+// Microbenchmark: scalar vs bit-sliced detection kernels.
 //
-// Runs the sequential k-path detector once per (field, k, kernel) on the
-// same ER graph and reports ns per (iteration x vertex) — the unit the
+// Sequential rows run the k-path detector once per (field, k, kernel) on
+// the same ER graph and report ns per (iteration x vertex) — the unit the
 // bit-sliced engine improves, since it evaluates 64 iterations per block
 // (see src/gf/bitsliced.hpp and docs/ALGORITHM.md section 6). Both kernels
 // are cross-checked for bit-identical round accumulators before timing is
 // reported, so a speedup can never come from computing something else.
 //
-//   ./bench_bitsliced_kernels [--n=128] [--kmax=16] [--seed=1]
+// Distributed rows run the whole midas_kpath engine — leaf init, level
+// folds, plane-native halo exchanges, accumulate — at k = 8, N = 4,
+// N1 = 2 for N2 in {32, 64, 256, 1024} on an ER graph of 32 * n vertices
+// over GF(2^8), the service default, and report the median host wall
+// milliseconds of --reps runs per kernel. bit_exact there means equal
+// answers, virtual clocks, message counts and halo bytes.
+//
+//   ./bench_bitsliced_kernels [--n=128] [--kmax=16] [--seed=1] [--reps=5]
 //                             [--json=BENCH_kernels.json]
 //
-// The JSON file is the committed baseline at the repo root; regenerate it
-// from a quiet machine when the kernels change.
+// The JSON file is the committed baseline at the repo root, with the
+// machine record it was taken on; regenerate it from a quiet machine when
+// the kernels or the halo format change.
+#include <cpuid.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
+#include "core/detect_par.hpp"
 #include "core/detect_seq.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gfsmall.hpp"
+#include "partition/multilevel.hpp"
+#include "partition/partitioned_graph.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -35,6 +50,14 @@ struct Row {
   double speedup;
   bool exact;  // round accumulators matched bit-for-bit
   const char* auto_kernel;  // what --kernel=auto resolves to for this field
+};
+
+struct DistRow {
+  std::uint32_t n2;
+  double scalar_ms;     // median host wall ms, scalar kernel
+  double bitsliced_ms;  // median host wall ms, bit-sliced kernel
+  double speedup;
+  bool exact;  // answers, vclocks, messages and bytes matched
 };
 
 template <typename F>
@@ -73,8 +96,63 @@ Row run_pair(const midas::graph::Graph& g, const std::string& name, int bits,
           core::kernel_name(f, core::Kernel::kAuto)};
 }
 
+constexpr int kDistK = 8;
+constexpr int kDistRanks = 4;
+constexpr int kDistN1 = 2;
+
+/// One distributed k-path row: both kernels `reps` times each, alternating
+/// so machine drift hits both sides alike.
+DistRow run_dist(const std::vector<midas::partition::PartView>& views,
+                 std::uint32_t n2, std::uint64_t seed, int reps) {
+  using namespace midas;
+  const gf::GF256 f;
+  core::MidasOptions opt;
+  opt.k = kDistK;
+  opt.seed = seed;
+  opt.n_ranks = kDistRanks;
+  opt.n1 = kDistN1;
+  opt.n2 = n2;
+  opt.max_rounds = 2;
+  opt.early_exit = false;
+  std::vector<double> ms[2];
+  core::MidasResult res[2];
+  for (int rep = -1; rep < reps; ++rep)  // rep -1 warms both kernels up
+    for (int b = 0; b < 2; ++b) {
+      opt.kernel = b == 0 ? core::Kernel::kScalar : core::Kernel::kBitsliced;
+      res[b] = core::midas_kpath_views(views, opt, f);
+      if (rep >= 0) ms[b].push_back(res[b].wall_s * 1e3);
+    }
+  auto median = [](std::vector<double> xs) {
+    std::sort(xs.begin(), xs.end());
+    return xs[xs.size() / 2];
+  };
+  const double s = median(ms[0]);
+  const double b = median(ms[1]);
+  const bool exact =
+      res[0].found == res[1].found &&
+      res[0].found_round == res[1].found_round &&
+      res[0].vclocks == res[1].vclocks &&
+      res[0].total_stats.messages_sent == res[1].total_stats.messages_sent &&
+      res[0].total_stats.bytes_sent == res[1].total_stats.bytes_sent;
+  return {n2, s, b, s / b, exact};
+}
+
+std::string cpu_model() {
+  unsigned int regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u) return "unknown";
+  for (unsigned int i = 0; i < 3; ++i)
+    __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                &regs[4 * i + 2], &regs[4 * i + 3]);
+  std::string s(reinterpret_cast<const char*>(regs), sizeof(regs));
+  s = s.c_str();
+  const auto b = s.find_first_not_of(' ');
+  return b == std::string::npos ? "unknown" : s.substr(b);
+}
+
 void write_json(const std::string& path, midas::graph::VertexId n,
-                std::uint64_t seed, const std::vector<Row>& rows) {
+                std::uint64_t seed, int reps, const std::vector<Row>& rows,
+                midas::graph::VertexId dist_n,
+                const std::vector<DistRow>& dist) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -96,7 +174,40 @@ void write_json(const std::string& path, midas::graph::VertexId n,
                  r.speedup, r.exact ? "true" : "false", r.auto_kernel,
                  i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out, "  ],\n");
+  std::fprintf(out,
+               "  \"distributed\": {\"engine\": \"midas_kpath\", "
+               "\"field\": \"GF256\", \"k\": %d, \"N\": %d, "
+               "\"N1\": %d, \"n\": %llu, \"rounds\": 2, \"reps\": %d, "
+               "\"unit\": \"median host wall ms\", \"rows\": [\n",
+               kDistK, kDistRanks, kDistN1,
+               static_cast<unsigned long long>(dist_n), reps);
+  for (std::size_t i = 0; i < dist.size(); ++i) {
+    const DistRow& r = dist[i];
+    std::fprintf(out,
+                 "    {\"n2\": %u, \"scalar_ms\": %.3f, "
+                 "\"bitsliced_ms\": %.3f, \"speedup\": %.2f, "
+                 "\"bit_exact\": %s}%s\n",
+                 r.n2, r.scalar_ms, r.bitsliced_ms, r.speedup,
+                 r.exact ? "true" : "false", i + 1 < dist.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]},\n");
+#if defined(__AVX512F__)
+  const char* simd = "avx512f+avx2";
+#elif defined(__AVX2__)
+  const char* simd = "avx2";
+#else
+  const char* simd = "none (portable x86-64)";
+#endif
+  std::fprintf(out,
+               "  \"record\": {\"hardware_threads\": %u, \"cpu\": \"%s\", "
+               "\"simd_build\": \"%s\", \"cpu_avx2\": %s, "
+               "\"cpu_avx512f\": %s, \"build_type\": \"%s\", "
+               "\"compiler\": \"%s\"}\n}\n",
+               std::thread::hardware_concurrency(), cpu_model().c_str(), simd,
+               __builtin_cpu_supports("avx2") ? "true" : "false",
+               __builtin_cpu_supports("avx512f") ? "true" : "false",
+               MIDAS_BUILD_TYPE, __VERSION__);
   std::fclose(out);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -109,6 +220,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<graph::VertexId>(args.get_int("n", 128));
   const int kmax = static_cast<int>(args.get_int("kmax", 16));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const int reps = std::max(1, static_cast<int>(args.get_int("reps", 5)));
   const std::string json = args.get("json", "BENCH_kernels.json");
 
   bench::print_figure_header(
@@ -137,6 +249,24 @@ int main(int argc, char** argv) {
                    Table::cell(r.speedup, 2), r.exact ? "yes" : "NO"});
   table.print("sequential k-path, one round; ns per (iteration x vertex), "
               "lower is better");
-  write_json(json, n, seed, rows);
+
+  const auto dist_n = static_cast<graph::VertexId>(32 * n);
+  const auto big = bench::make_dataset("random", dist_n, seed);
+  const auto views = partition::build_part_views(
+      big.graph, partition::multilevel_partition(big.graph, kDistN1));
+  std::vector<DistRow> dist;
+  for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
+    dist.push_back(run_dist(views, n2, seed, reps));
+  Table dtable({"N2", "scalar_ms", "bitsliced_ms", "speedup", "bit_exact"});
+  for (const DistRow& r : dist)
+    dtable.add_row({Table::cell(std::int64_t{r.n2}),
+                    Table::cell(r.scalar_ms, 3), Table::cell(r.bitsliced_ms, 3),
+                    Table::cell(r.speedup, 2), r.exact ? "yes" : "NO"});
+  std::printf("\n");
+  dtable.print(("midas_kpath k=8 N=4 N1=2 GF(2^8), n=" +
+                std::to_string(dist_n) + ", 2 rounds; median of " +
+                std::to_string(reps) + " host wall ms, lower is better")
+                   .c_str());
+  write_json(json, n, seed, reps, rows, dist_n, dist);
   return 0;
 }

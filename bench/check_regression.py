@@ -4,12 +4,18 @@
 Runs bench_bitsliced_kernels at a toy-but-meaningful size, then checks the
 acceptance point the bit-sliced tentpole was merged on — the k = 12 row of
 GFSmall(7), i.e. the paper's l = 3 + ceil(log2 k) width for k = 12 — against
-two gates:
+three gates:
 
   1. absolute: measured speedup must stay >= --min-speedup (default 5.0,
      the PR 3 acceptance threshold);
   2. relative: every (field, k) row present in the committed baseline
-     BENCH_kernels.json must keep bit_exact == true.
+     BENCH_kernels.json must keep bit_exact == true;
+  3. distributed: in the bench's end-to-end midas_kpath rows (k = 8,
+     N = 4, N1 = 2, N2 in {32, 64, 256, 1024}), the bit-sliced kernel must
+     not be slower than scalar at any N2 >= 64, and every row must be
+     bit_exact (equal answers, clocks, messages and halo bytes). Before
+     gating, the check proves it can fail: a fixture row with bit-sliced
+     slower than scalar must be rejected.
 
 The absolute gate deliberately sits far below the committed baseline
 (~11x): CI runners are noisy shared machines, and this check exists to
@@ -108,6 +114,42 @@ def validate_baselines(paths) -> int:
         return 1
     print("check_regression: OK")
     return 0
+
+
+# Smallest N2 at which the distributed bit-sliced k-path must match scalar:
+# below one full 64-lane block the bit-sliced kernel runs underfilled.
+DIST_GATE_MIN_N2 = 64
+
+
+def distributed_failures(rows) -> list:
+    """Gate 3 over a bench's distributed rows; returns failure messages."""
+    failures = []
+    for r in rows:
+        if not r.get("bit_exact"):
+            failures.append(f"distributed N2={r['n2']}: kernels no longer "
+                            "bit-identical (answers/clocks/bytes)")
+        if r["n2"] >= DIST_GATE_MIN_N2 and r["bitsliced_ms"] > r["scalar_ms"]:
+            failures.append(
+                f"distributed N2={r['n2']}: bit-sliced {r['bitsliced_ms']:.2f}"
+                f" ms slower than scalar {r['scalar_ms']:.2f} ms")
+    return failures
+
+
+def gate_self_test() -> bool:
+    """The distributed gate must reject a bit-sliced-slower row at N2 >= 64
+    and accept rows where it is faster (or slower only below N2 = 64)."""
+    slow = [{"n2": 64, "scalar_ms": 10.0, "bitsliced_ms": 12.0,
+             "bit_exact": True}]
+    fine = [{"n2": 32, "scalar_ms": 10.0, "bitsliced_ms": 12.0,
+             "bit_exact": True},
+            {"n2": 256, "scalar_ms": 10.0, "bitsliced_ms": 4.0,
+             "bit_exact": True}]
+    inexact = [{"n2": 256, "scalar_ms": 10.0, "bitsliced_ms": 4.0,
+                "bit_exact": False}]
+    ok = (bool(distributed_failures(slow)) and not distributed_failures(fine)
+          and bool(distributed_failures(inexact)))
+    print(f"distributed gate self-test: {'ok' if ok else 'BROKEN'}")
+    return ok
 
 
 def check_service_scaling(args) -> int:
@@ -220,6 +262,10 @@ def main() -> int:
         return check_motif(args)
     if not args.bench:
         ap.error("--bench is required unless --service-json is given")
+    if not gate_self_test():
+        print("check_regression: the distributed gate accepts a "
+              "bit-sliced-slower row", file=sys.stderr)
+        return 2
 
     try:
         with open(args.baseline, encoding="utf-8") as fh:
@@ -231,7 +277,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "kernels.json")
         cmd = [args.bench, f"--n={args.n}", f"--kmax={args.kmax}",
-               f"--json={out}"]
+               "--reps=3", f"--json={out}"]
         try:
             subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL,
                            timeout=600)
@@ -272,6 +318,18 @@ def main() -> int:
         if not m["bit_exact"]:
             failures.append(f"{b['field']} k={b['k']}: kernels no longer "
                             "bit-identical")
+
+    # Gate 3: the distributed engine, end to end.
+    dist = (measured.get("distributed") or {}).get("rows") or []
+    if not dist:
+        print("check_regression: no distributed rows in bench output",
+              file=sys.stderr)
+        return 2
+    for r in dist:
+        print(f"distributed midas_kpath N2={r['n2']}: scalar "
+              f"{r['scalar_ms']:.2f} ms, bit-sliced {r['bitsliced_ms']:.2f} ms"
+              f" = {r['speedup']:.2f}x, bit_exact={r['bit_exact']}")
+    failures.extend(distributed_failures(dist))
 
     if failures:
         for f in failures:

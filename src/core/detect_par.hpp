@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <optional>
@@ -141,10 +142,12 @@ struct MidasOptions {
   int max_rounds = 0;     // override epsilon-derived round count if > 0
   bool early_exit = true;
   // Inner-loop implementation (see detect_seq.hpp). The bit-sliced kernels
-  // charge the same modeled work and ship byte-identical halo payloads as
-  // the scalar ones, so virtual clocks, fault schedules, and checkpoint
-  // snapshots are kernel-independent — a snapshot written under one kernel
-  // resumes under the other bit-exactly.
+  // charge the same modeled work as the scalar ones, and both ship halos in
+  // the plane-native layout of detail::halo_exchange_planes (the scalar
+  // kernel transposes its values), so payloads are byte-identical and
+  // virtual clocks, fault schedules, and checkpoint snapshots are
+  // kernel-independent — a snapshot written under one kernel resumes under
+  // the other bit-exactly.
   Kernel kernel = Kernel::kAuto;
   runtime::CostModel model{};
   // Fault injection & supervision (docs/RESILIENCE.md). Supervision is
@@ -350,9 +353,11 @@ struct HashRange {
   std::uint64_t hi = 0;
 };
 
-/// Exchange one DP level: for each neighboring part, pack the batch-wide
-/// values of the boundary vertices, alltoallv within the phase group, and
-/// scatter incoming values into the ghost array.
+/// Exchange one DP level in the value layout: for each neighboring part,
+/// pack the batch-wide values of the boundary vertices, alltoallv within
+/// the phase group, and scatter incoming values into the ghost array. Used
+/// by fields without a bit-sliced kernel and by the scalar-only engines
+/// (weighted k-path, scan2d); the others go through halo_exchange_planes.
 template <typename V>
 void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
                    const std::vector<V>& local_vals,
@@ -386,6 +391,180 @@ void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
       std::memcpy(ghost_vals.data() + gi * batch, in, batch * sizeof(V));
       in += batch * sizeof(V);
     }
+  }
+}
+
+/// A partial block's l planes of `lanes` (< 64) live bits each, packed
+/// back to back: plane q starts at bit q * lanes of `bits` (l + 1 words).
+inline void pack_plane_bits(std::uint64_t* bits, const std::uint64_t* planes,
+                            int l, int lanes) {
+  const std::uint64_t mask = (std::uint64_t{1} << lanes) - 1;
+  std::fill(bits, bits + l + 1, std::uint64_t{0});
+  for (int q = 0; q < l; ++q) {
+    const std::uint64_t w = planes[q] & mask;
+    const int word = q * lanes / 64;
+    const int sh = q * lanes % 64;
+    bits[word] |= w << sh;
+    if (sh + lanes > 64) bits[word + 1] |= w >> (64 - sh);
+  }
+}
+
+/// Inverse of pack_plane_bits.
+inline void unpack_plane_bits(std::uint64_t* planes, const std::uint64_t* bits,
+                              int l, int lanes) {
+  const std::uint64_t mask = (std::uint64_t{1} << lanes) - 1;
+  for (int q = 0; q < l; ++q) {
+    const int word = q * lanes / 64;
+    const int sh = q * lanes % 64;
+    std::uint64_t w = bits[word] >> sh;
+    if (sh + lanes > 64) w |= bits[word + 1] << (64 - sh);
+    planes[q] = w & mask;
+  }
+}
+
+/// Plane-native halo: the wire format of every engine that has a bit-sliced
+/// kernel, under both kernels (docs/ALGORITHM.md section 6). A vertex's
+/// halo value is `units` rows of `batch` lanes; for each row and each
+/// 64-lane block of it, the message carries the block's l bit-planes, each
+/// cut to its `lanes` live bits and packed back to back, the block padded
+/// to a whole byte: ceil(l * lanes / 8) bytes, which is ceil(lanes / 8)
+/// bytes per plane whenever lanes is a multiple of 8. Vertices follow the
+/// view's send/recv lists, as in the value layout. `load(li, u, blk, tmp)`
+/// returns the planes of a local block (in place, or transposed into
+/// `tmp`); `store(gi, u, blk, planes)` writes one ghost block. The message
+/// count is that of halo_exchange and, at l = 8, so is every byte count.
+template <typename Load, typename Store>
+void halo_exchange_planes(runtime::Comm& comm,
+                          const partition::PartView& view, int l,
+                          std::size_t units, std::size_t batch, Load&& load,
+                          Store&& store) {
+  using word = gf::BitslicedGF::word;
+  constexpr int kLanes = gf::BitslicedGF::kLanes;
+  static_assert(std::endian::native == std::endian::little,
+                "plane words are serialized by memcpy as little-endian");
+  MIDAS_TRACE_SPAN("engine.halo_exchange");
+  const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+  auto lanes_of = [&](std::size_t blk) {
+    return static_cast<int>(std::min<std::size_t>(kLanes,
+                                                  batch - blk * kLanes));
+  };
+  auto block_bytes = [&](std::size_t blk) {
+    return (static_cast<std::size_t>(l) * lanes_of(blk) + 7) / 8;
+  };
+  std::size_t vertex_bytes = 0;
+  for (std::size_t blk = 0; blk < nblocks; ++blk)
+    vertex_bytes += block_bytes(blk);
+  vertex_bytes *= units;
+
+  word tmp[16];   // one block's planes
+  word bits[17];  // a partial block's packed planes, plus a spill word
+  const int p = comm.size();
+  std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(p));
+  for (int t = 0; t < p; ++t) {
+    const auto& list = view.send_to[static_cast<std::size_t>(t)];
+    if (list.empty()) continue;
+    auto& buf = send[static_cast<std::size_t>(t)];
+    buf.resize(list.size() * vertex_bytes);
+    std::byte* out = buf.data();
+    for (std::uint32_t li : list)
+      for (std::size_t u = 0; u < units; ++u)
+        for (std::size_t blk = 0; blk < nblocks; ++blk) {
+          const word* planes = load(li, u, blk, tmp);
+          const int lanes = lanes_of(blk);
+          const std::size_t nb = block_bytes(blk);
+          if (lanes == kLanes) {
+            std::memcpy(out, planes, nb);
+          } else {
+            pack_plane_bits(bits, planes, l, lanes);
+            std::memcpy(out, bits, nb);
+          }
+          out += nb;
+        }
+    MIDAS_TRACE_COUNT("halo.messages", 1);
+    MIDAS_TRACE_COUNT("halo.bytes", buf.size());
+    MIDAS_TRACE_OBSERVE("halo.message_bytes", buf.size());
+  }
+  auto recv = comm.alltoallv(send);
+  for (int t = 0; t < p; ++t) {
+    const auto& targets = view.recv_from[static_cast<std::size_t>(t)];
+    if (targets.empty()) continue;
+    const auto& buf = recv[static_cast<std::size_t>(t)];
+    MIDAS_ASSERT(buf.size() == targets.size() * vertex_bytes,
+                 "halo message size mismatch");
+    const std::byte* in = buf.data();
+    for (std::uint32_t gi : targets)
+      for (std::size_t u = 0; u < units; ++u)
+        for (std::size_t blk = 0; blk < nblocks; ++blk) {
+          const int lanes = lanes_of(blk);
+          const std::size_t nb = block_bytes(blk);
+          if (lanes == kLanes) {
+            std::memcpy(tmp, in, nb);
+          } else {
+            std::fill(bits, bits + l + 1, word{0});
+            std::memcpy(bits, in, nb);
+            unpack_plane_bits(tmp, bits, l, lanes);
+          }
+          store(gi, u, blk, static_cast<const word*>(tmp));
+          in += nb;
+        }
+  }
+}
+
+/// Bit-sliced kernels: local and ghost planes in the (vertex, row, block,
+/// plane) layout travel as they are, with no transpose.
+inline void halo_exchange_planes(
+    runtime::Comm& comm, const partition::PartView& view,
+    const gf::BitslicedGF& bs, std::size_t units, std::size_t batch,
+    const std::vector<gf::BitslicedGF::word>& local,
+    std::vector<gf::BitslicedGF::word>& ghost) {
+  using word = gf::BitslicedGF::word;
+  const auto L = static_cast<std::size_t>(bs.words());
+  const std::size_t wpv =
+      (batch + gf::BitslicedGF::kLanes - 1) / gf::BitslicedGF::kLanes * L;
+  halo_exchange_planes(
+      comm, view, bs.words(), units, batch,
+      [&](std::uint32_t li, std::size_t u, std::size_t blk, word*) {
+        return &local[(li * units + u) * wpv + blk * L];
+      },
+      [&](std::uint32_t gi, std::size_t u, std::size_t blk,
+          const word* planes) {
+        std::copy(planes, planes + L,
+                  &ghost[(gi * units + u) * wpv + blk * L]);
+      });
+}
+
+/// The scalar kernel's halo over (vertex, row, lane) value arrays. Fields
+/// with a bit-sliced twin ship plane-native — values transposed to planes
+/// on send and back on receive, so payloads are byte-identical to the
+/// bit-sliced kernel's; other fields (GF64, Z/2^e) keep the value layout.
+template <gf::GaloisField F>
+void halo_exchange_scalar(runtime::Comm& comm,
+                          const partition::PartView& view, const F& f,
+                          std::size_t units, std::size_t batch,
+                          const std::vector<typename F::value_type>& local,
+                          std::vector<typename F::value_type>& ghost) {
+  if constexpr (gf::Bitsliceable<F>) {
+    using word = gf::BitslicedGF::word;
+    constexpr std::size_t kLanes = gf::BitslicedGF::kLanes;
+    const gf::BitslicedGF bs(f);
+    auto lanes_of = [&](std::size_t blk) {
+      return static_cast<int>(std::min(kLanes, batch - blk * kLanes));
+    };
+    halo_exchange_planes(
+        comm, view, bs.words(), units, batch,
+        [&](std::uint32_t li, std::size_t u, std::size_t blk, word* tmp) {
+          bs.pack_lanes(tmp, &local[(li * units + u) * batch + blk * kLanes],
+                        lanes_of(blk));
+          return static_cast<const word*>(tmp);
+        },
+        [&](std::uint32_t gi, std::size_t u, std::size_t blk,
+            const word* planes) {
+          bs.unpack_lanes(&ghost[(gi * units + u) * batch + blk * kLanes],
+                          planes, lanes_of(blk));
+        });
+  } else {
+    (void)f;
+    halo_exchange(comm, view, local, ghost, units * batch);
   }
 }
 
@@ -493,18 +672,14 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
     std::vector<V> cur, next, ghost, scratch;
     std::vector<std::uint8_t> live_q;
 
-    // Bit-sliced state (gf/bitsliced.hpp). Halo payloads stay in the scalar
-    // byte layout — boundary blocks are transposed to values on send and
-    // ghosts transposed back on receive — and every charge_* call mirrors
-    // the scalar kernel, so clocks, messages, snapshots, and the failover
-    // protocol are identical across kernels.
+    // Bit-sliced state (gf/bitsliced.hpp). Halos are plane-native under
+    // both kernels (detail::halo_exchange_planes): boundary blocks ship as
+    // they are and the scalar kernel does the transposes. With every
+    // charge_* call mirroring the scalar kernel, clocks, messages,
+    // snapshots, and the failover protocol are identical across kernels.
     std::optional<gf::BitslicedGF> bse;
     std::vector<std::uint64_t> bcur, bnext, bghost, blive;
-    std::vector<V> cur_s, ghost_s;
     std::vector<gf::BitslicedGF::Matrix> mats;
-    // Boundary vertices (lane blocks serialized into halo payloads) are
-    // precomputed on the view, so a cached view costs no per-run setup.
-    const std::vector<std::uint32_t>& boundary = view.boundary;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
         bse.emplace(f);
@@ -553,7 +728,7 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
 
       // Inductive steps with one halo exchange per level.
       for (int j = 2; j <= k; ++j) {
-        detail::halo_exchange(group, view, cur, ghost, batch);
+        detail::halo_exchange_scalar(group, view, f, 1, batch, cur, ghost);
         const V* rj = r.data() + static_cast<std::size_t>(j - 1) * nl;
         std::uint64_t ops = 0;
         for (std::uint32_t li = 0; li < nl; ++li) {
@@ -611,8 +786,6 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
       bnext.assign(static_cast<std::size_t>(nl) * wpv, 0);
       bghost.assign(static_cast<std::size_t>(ng) * wpv, 0);
       blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-      cur_s.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      ghost_s.assign(static_cast<std::size_t>(ng) * batch, f.zero());
 
       const std::uint64_t adj_bytes =
           view.adj.size() * sizeof(partition::NbrRef) +
@@ -639,23 +812,7 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
 
       for (int j = 2; j <= k; ++j) {
-        // Halo in the scalar byte layout: transpose boundary blocks to
-        // values, exchange, transpose ghosts back to planes.
-        for (std::uint32_t li : boundary)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.unpack_lanes(
-                cur_s.data() + static_cast<std::size_t>(li) * batch +
-                    blk * BS::kLanes,
-                &bcur[static_cast<std::size_t>(li) * wpv + blk * L],
-                lanes_of(blk));
-        detail::halo_exchange(group, view, cur_s, ghost_s, batch);
-        for (std::uint32_t gi = 0; gi < ng; ++gi)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.pack_lanes(
-                &bghost[static_cast<std::size_t>(gi) * wpv + blk * L],
-                ghost_s.data() + static_cast<std::size_t>(gi) * batch +
-                    blk * BS::kLanes,
-                lanes_of(blk));
+        detail::halo_exchange_planes(group, view, bs, 1, batch, bcur, bghost);
 
         const gf::BitslicedGF::Matrix* mj =
             mats.data() + static_cast<std::size_t>(j - 2) * nl;
@@ -1155,14 +1312,11 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     std::vector<std::vector<V>> ghost(subs.size());
 
     // Bit-sliced state: plane arrays mirror vals/ghost subtemplate by
-    // subtemplate, with scalar staging rows so halo payloads stay
-    // byte-identical to the scalar kernel's (layout notes in the k-path
-    // engine and docs/ALGORITHM.md section 6).
+    // subtemplate; halos are plane-native under both kernels (layout notes
+    // in the k-path engine and docs/ALGORITHM.md section 6).
     std::optional<gf::BitslicedGF> bse;
     std::vector<std::vector<std::uint64_t>> bvals, bgh;
     std::vector<std::uint64_t> blive;
-    std::vector<V> stage_out, stage_ghost;
-    const std::vector<std::uint32_t>& boundary = view.boundary;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
         bse.emplace(f);
@@ -1231,7 +1385,7 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
         if (needs_exchange[s]) {
           auto& gbuf = ghost[s];
           gbuf.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-          detail::halo_exchange(group, view, out, gbuf, batch);
+          detail::halo_exchange_scalar(group, view, f, 1, batch, out, gbuf);
         }
       }
       detail::accumulate_level(
@@ -1270,7 +1424,6 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
         for (std::size_t blk = 0; blk < nblocks; ++blk)
           blive[static_cast<std::size_t>(li) * nblocks + blk] =
               BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-      stage_out.assign(static_cast<std::size_t>(nl) * batch, f.zero());
 
       for (std::size_t s = 0; s < subs.size(); ++s) {
         const auto& sub = subs[s];
@@ -1323,26 +1476,9 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
         world.charge_compute(ops);
         world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
         if (needs_exchange[s]) {
-          // Halo in the scalar byte layout: transpose boundary blocks to
-          // values, exchange, transpose ghosts back to planes.
-          for (std::uint32_t li : boundary)
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.unpack_lanes(
-                  stage_out.data() + static_cast<std::size_t>(li) * batch +
-                      blk * BS::kLanes,
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  lanes_of(blk));
-          stage_ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-          detail::halo_exchange(group, view, stage_out, stage_ghost, batch);
           auto& gbuf = bgh[s];
           gbuf.assign(static_cast<std::size_t>(ng) * wpv, 0);
-          for (std::uint32_t gi = 0; gi < ng; ++gi)
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.pack_lanes(
-                  &gbuf[static_cast<std::size_t>(gi) * wpv + blk * L],
-                  stage_ghost.data() + static_cast<std::size_t>(gi) * batch +
-                      blk * BS::kLanes,
-                  lanes_of(blk));
+          detail::halo_exchange_planes(group, view, bs, 1, batch, out, gbuf);
         }
       }
       const auto& root = bvals[static_cast<std::size_t>(td.root_id())];
@@ -1536,16 +1672,14 @@ MidasScanResult midas_scan_views(
         std::vector<V> scratch;
 
         // Bit-sliced state: per-layer plane arrays with the same
-        // (vertex, weight) nesting, plus scalar staging so halo payloads
-        // stay byte-identical to the scalar kernel's.
+        // (vertex, weight) nesting; halos are plane-native under both
+        // kernels, one row per weight.
         std::optional<gf::BitslicedGF> bse;
         std::vector<std::vector<std::uint64_t>> bvals(
             static_cast<std::size_t>(k) + 1);
         std::vector<std::vector<std::uint64_t>> bghost(
             static_cast<std::size_t>(k) + 1);
         std::vector<std::uint64_t> blive;
-        std::vector<V> stage_out, stage_ghost;
-        const std::vector<std::uint32_t>& boundary = view.boundary;
         if constexpr (gf::Bitsliceable<F>) {
           if (bitsliced) bse.emplace(f);
         }
@@ -1582,8 +1716,8 @@ MidasScanResult midas_scan_views(
             }
           }
           world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          detail::halo_exchange(group, view, vals[1], ghost[1],
-                                batch * width);
+          detail::halo_exchange_scalar(group, view, f, width, batch, vals[1],
+                                       ghost[1]);
 
           for (int j = 2; j <= k; ++j) {
             auto& out = vals[static_cast<std::size_t>(j)];
@@ -1638,10 +1772,10 @@ MidasScanResult midas_scan_views(
             world.charge_compute(ops);
             world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
             if (j < k)
-              detail::halo_exchange(group, view,
-                                    vals[static_cast<std::size_t>(j)],
-                                    ghost[static_cast<std::size_t>(j)],
-                                    batch * width);
+              detail::halo_exchange_scalar(
+                  group, view, f, width, batch,
+                  vals[static_cast<std::size_t>(j)],
+                  ghost[static_cast<std::size_t>(j)]);
           }
           // Accumulate per-(j,z) sums. As in the sequential detector,
           // size-j sums only fold iterations q < 2^j (degree-j detection
@@ -1689,8 +1823,6 @@ MidasScanResult midas_scan_views(
             bghost[static_cast<std::size_t>(j)].assign(
                 static_cast<std::size_t>(ng) * wrow, 0);
           }
-          stage_out.assign(static_cast<std::size_t>(width) * nl * batch,
-                           f.zero());
           const std::uint64_t adj_bytes =
               view.adj.size() * sizeof(partition::NbrRef) +
               view.adj_offsets.size() * sizeof(std::uint64_t);
@@ -1701,36 +1833,12 @@ MidasScanResult midas_scan_views(
             return static_cast<int>(
                 std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
           };
-          // Halo in the scalar byte layout: each boundary vertex ships its
-          // whole (weight x batch) block, transposed to values on send and
-          // back to planes on receive.
+          // Each boundary vertex ships its whole (weight x batch) block,
+          // one plane-native row per weight.
           auto exchange_layer = [&](int j) {
-            const auto& src = bvals[static_cast<std::size_t>(j)];
-            for (std::uint32_t li : boundary)
-              for (std::uint32_t z = 0; z < width; ++z)
-                for (std::size_t blk = 0; blk < nblocks; ++blk)
-                  bs.unpack_lanes(
-                      stage_out.data() +
-                          (static_cast<std::size_t>(li) * width + z) * batch +
-                          blk * BS::kLanes,
-                      &src[static_cast<std::size_t>(li) * wrow + z * wpv +
-                           blk * L],
-                      lanes_of(blk));
-            stage_ghost.assign(static_cast<std::size_t>(width) * ng * batch,
-                               f.zero());
-            detail::halo_exchange(group, view, stage_out, stage_ghost,
-                                  batch * width);
-            auto& gbuf = bghost[static_cast<std::size_t>(j)];
-            for (std::uint32_t gi = 0; gi < ng; ++gi)
-              for (std::uint32_t z = 0; z < width; ++z)
-                for (std::size_t blk = 0; blk < nblocks; ++blk)
-                  bs.pack_lanes(
-                      &gbuf[static_cast<std::size_t>(gi) * wrow + z * wpv +
-                            blk * L],
-                      stage_ghost.data() +
-                          (static_cast<std::size_t>(gi) * width + z) * batch +
-                          blk * BS::kLanes,
-                      lanes_of(blk));
+            detail::halo_exchange_planes(group, view, bs, width, batch,
+                                         bvals[static_cast<std::size_t>(j)],
+                                         bghost[static_cast<std::size_t>(j)]);
           };
 
           // Base case: liveness parity masks, coefficient broadcast at the
@@ -1930,8 +2038,8 @@ MidasScanResult midas_scan(const graph::Graph& g,
 /// constrained sieve of core/motif.hpp on a scan-style layered DP (no
 /// weight axis), with the k-tree driver's round/checkpoint/allreduce shape.
 /// `colors` is indexed by *global* vertex id; `opt.k` must equal
-/// `motif.size()`. Halo payloads travel in the scalar byte layout under
-/// both kernels, so checkpoints and the watchdog stay kernel-independent;
+/// `motif.size()`. Halo payloads travel plane-native under both kernels
+/// (byte-identical), so checkpoints and the watchdog stay kernel-independent;
 /// answers are bit-identical to detect_motif_seq for the same seed.
 template <gf::GaloisField F>
 MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
@@ -2019,16 +2127,14 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
     std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
     std::vector<V> scratch;
 
-    // Bit-sliced state: per-layer plane arrays plus scalar staging rows so
-    // halo payloads stay byte-identical to the scalar kernel's.
+    // Bit-sliced state: per-layer plane arrays; halos are plane-native
+    // under both kernels.
     std::optional<gf::BitslicedGF> bse;
     std::vector<gf::BitslicedGF::value_type> us16;
     std::vector<std::vector<std::uint64_t>> bvals(
         static_cast<std::size_t>(k) + 1);
     std::vector<std::vector<std::uint64_t>> bghost(
         static_cast<std::size_t>(k) + 1);
-    std::vector<V> stage_out, stage_ghost;
-    const std::vector<std::uint32_t>& boundary = view.boundary;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
         bse.emplace(f);
@@ -2065,7 +2171,8 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
               f, urow, mask, static_cast<std::uint32_t>(q0 + b));
       }
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      detail::halo_exchange(group, view, vals[1], ghost[1], batch);
+      detail::halo_exchange_scalar(group, view, f, 1, batch, vals[1],
+                                   ghost[1]);
 
       for (int j = 2; j <= k; ++j) {
         auto& out = vals[static_cast<std::size_t>(j)];
@@ -2103,9 +2210,9 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
         world.charge_compute(ops);
         world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
         if (j < k)
-          detail::halo_exchange(group, view,
-                                vals[static_cast<std::size_t>(j)],
-                                ghost[static_cast<std::size_t>(j)], batch);
+          detail::halo_exchange_scalar(group, view, f, 1, batch,
+                                       vals[static_cast<std::size_t>(j)],
+                                       ghost[static_cast<std::size_t>(j)]);
       }
       detail::accumulate_level(f, vals[static_cast<std::size_t>(k)],
                                static_cast<std::size_t>(nl) * batch, total);
@@ -2142,28 +2249,10 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
         bghost[static_cast<std::size_t>(j)].assign(
             static_cast<std::size_t>(ng) * wpv, 0);
       }
-      stage_out.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-      // Halo in the scalar byte layout: transpose boundary blocks to
-      // values, exchange, transpose ghosts back to planes.
       auto exchange_layer = [&](int j) {
-        const auto& src = bvals[static_cast<std::size_t>(j)];
-        for (std::uint32_t li : boundary)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.unpack_lanes(
-                stage_out.data() + static_cast<std::size_t>(li) * batch +
-                    blk * BS::kLanes,
-                &src[static_cast<std::size_t>(li) * wpv + blk * L],
-                lanes_of(blk));
-        stage_ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
-        detail::halo_exchange(group, view, stage_out, stage_ghost, batch);
-        auto& gbuf = bghost[static_cast<std::size_t>(j)];
-        for (std::uint32_t gi = 0; gi < ng; ++gi)
-          for (std::size_t blk = 0; blk < nblocks; ++blk)
-            bs.pack_lanes(
-                &gbuf[static_cast<std::size_t>(gi) * wpv + blk * L],
-                stage_ghost.data() + static_cast<std::size_t>(gi) * batch +
-                    blk * BS::kLanes,
-                lanes_of(blk));
+        detail::halo_exchange_planes(group, view, bs, 1, batch,
+                                     bvals[static_cast<std::size_t>(j)],
+                                     bghost[static_cast<std::size_t>(j)]);
       };
 
       auto& base = bvals[1];

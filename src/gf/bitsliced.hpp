@@ -82,6 +82,19 @@ decltype(auto) dispatch_width(int l, Fn&& fn) {
   }
 }
 
+/// Transpose the 8x8 bit matrix held in `x` (byte i = row i, bit j of a
+/// byte = column j) in three shift/mask swap steps: 1x1 cells within 2x2
+/// blocks, then 2x2 cells within 4x4 blocks, then the 4x4 quadrants.
+constexpr std::uint64_t transpose8x8(std::uint64_t x) noexcept {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAULL;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCULL;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ULL;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
 }  // namespace detail_bs
 
 /// Bit-sliced GF(2^l) engine over 64-lane blocks. A block is `words() == l`
@@ -227,25 +240,49 @@ class BitslicedGF {
   }
 
   /// Scatter `lanes` scalar values into a block's bit-planes (lanes beyond
-  /// the count are cleared). Used to rebuild ghost blocks from the scalar
-  /// halo payload.
+  /// the count are cleared). Eight lanes at a time: their value bytes form
+  /// an 8x8 bit matrix whose transpose holds one byte of each of 8 planes.
+  /// Used where values meet planes: the scalar kernel's halo and unaligned
+  /// shade blocks.
   template <typename Vt>
   void pack_lanes(word* block, const Vt* vals, int lanes) const noexcept {
     clear(block);
-    for (int b = 0; b < lanes; ++b) {
-      std::uint32_t x = vals[b];
-      while (x != 0) {
-        block[std::countr_zero(x)] |= word{1} << b;
-        x &= x - 1;
+    for (int b0 = 0; b0 < lanes; b0 += 8) {
+      const int n = lanes - b0 < 8 ? lanes - b0 : 8;
+      for (int p0 = 0; p0 < l_; p0 += 8) {
+        word rows = 0;
+        for (int i = 0; i < n; ++i)
+          rows |= static_cast<word>(
+                      (static_cast<std::uint32_t>(vals[b0 + i]) >> p0) &
+                      0xFFu)
+                  << (8 * i);
+        const word cols = detail_bs::transpose8x8(rows);
+        const int np = l_ - p0 < 8 ? l_ - p0 : 8;
+        for (int p = 0; p < np; ++p)
+          block[p0 + p] |= ((cols >> (8 * p)) & 0xFFu) << b0;
       }
     }
   }
 
-  /// Gather `lanes` scalar values out of a block's bit-planes. Used to
-  /// serialize boundary blocks into the scalar halo payload.
+  /// Gather `lanes` scalar values out of a block's bit-planes: the inverse
+  /// 8x8 transposes of pack_lanes. Values past `lanes` are not written.
   template <typename Vt>
   void unpack_lanes(Vt* vals, const word* block, int lanes) const noexcept {
-    for (int b = 0; b < lanes; ++b) vals[b] = static_cast<Vt>(lane(block, b));
+    for (int b0 = 0; b0 < lanes; b0 += 8) {
+      const int n = lanes - b0 < 8 ? lanes - b0 : 8;
+      std::uint32_t out[8] = {};
+      for (int p0 = 0; p0 < l_; p0 += 8) {
+        const int np = l_ - p0 < 8 ? l_ - p0 : 8;
+        word cols = 0;
+        for (int p = 0; p < np; ++p)
+          cols |= ((block[p0 + p] >> b0) & 0xFFu) << (8 * p);
+        const word rows = detail_bs::transpose8x8(cols);
+        for (int i = 0; i < n; ++i)
+          out[i] |= static_cast<std::uint32_t>((rows >> (8 * i)) & 0xFFu)
+                    << p0;
+      }
+      for (int i = 0; i < n; ++i) vals[b0 + i] = static_cast<Vt>(out[i]);
+    }
   }
 
   void set_lane(word* x, int b, value_type v) const noexcept {

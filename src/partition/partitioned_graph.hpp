@@ -59,10 +59,9 @@ struct PartView {
   std::vector<std::vector<std::uint32_t>> recv_from;
 
   /// Sorted union of all send_to lists: the local vertices whose values any
-  /// other part consumes. The bit-sliced kernels transpose exactly these
-  /// vertices' lane blocks into the scalar halo payload; precomputing the
-  /// list here (instead of per engine run) lets a cached view be reused
-  /// across queries with zero per-run setup.
+  /// other part consumes, i.e. whose plane-native lane blocks the halo
+  /// exchanges carry. Precomputed here (instead of per engine run) so a
+  /// cached view carries it across queries with zero per-run setup.
   std::vector<std::uint32_t> boundary;
 
   [[nodiscard]] std::uint32_t num_local() const noexcept {

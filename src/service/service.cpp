@@ -115,8 +115,11 @@ double estimate_query_cost(const QuerySpec& q, std::uint64_t vertices,
   // One batched halo exchange per (round, k-level, phase).
   const double phases = iters / static_cast<double>(std::max<std::uint32_t>(
                                     1, q.n2)) + 1.0;
-  const double halo_bytes =
-      part_verts * (scalar ? 1.0 : q.field_bits / 8.0 + 1.0);
+  // Both kernels ship halos plane-native: per part vertex, field_bits
+  // planes of one phase's min(N2, 2^k) lanes, so the term ignores q.kernel.
+  const double batch =
+      std::min(iters, static_cast<double>(std::max<std::uint32_t>(1, q.n2)));
+  const double halo_bytes = part_verts * std::ceil(q.field_bits * batch / 8.0);
   const double comm =
       rounds * q.k * phases *
       m.message_cost(static_cast<std::uint64_t>(halo_bytes));

@@ -10,8 +10,11 @@
 //    snapshot written under one kernel must resume under the other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
@@ -21,11 +24,13 @@
 #include "gf/gf256.hpp"
 #include "gf/gf64.hpp"
 #include "gf/gfsmall.hpp"
+#include "graph/digraph.hpp"
 #include "graph/generators.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
 #include "runtime/checkpoint.hpp"
 #include "util/rng.hpp"
+#include "fixtures.hpp"
 
 namespace fs = std::filesystem;
 
@@ -171,6 +176,47 @@ TEST(BitslicedGF, LiveMaskMatchesInnerProductParity) {
         }
       }
     }
+  }
+}
+
+/// pack_lanes / unpack_lanes (8x8 bit-matrix transposes) against the
+/// per-lane reference accessors, at every width and every lane count.
+template <typename Vt>
+void check_transposes(int l, Xoshiro256& rng) {
+  const BitslicedGF bs(l, irreducible_poly(l));
+  const auto L = static_cast<std::size_t>(l);
+  for (int lanes = 1; lanes <= BitslicedGF::kLanes; ++lanes) {
+    std::vector<Vt> vals(BitslicedGF::kLanes);
+    for (auto& x : vals) x = static_cast<Vt>(rng.below(1u << l));
+    // Pack over a garbage block: live lanes match set_lane, the rest clear.
+    std::vector<word> block(L), ref(L, 0);
+    for (auto& w : block) w = rng();
+    bs.pack_lanes(block.data(), vals.data(), lanes);
+    for (int b = 0; b < lanes; ++b)
+      bs.set_lane(ref.data(), b, vals[static_cast<std::size_t>(b)]);
+    EXPECT_EQ(block, ref) << "l=" << l << " lanes=" << lanes;
+    for (int b = 0; b < BitslicedGF::kLanes; ++b)
+      EXPECT_EQ(bs.lane(block.data(), b),
+                b < lanes ? vals[static_cast<std::size_t>(b)] : 0u)
+          << "l=" << l << " lanes=" << lanes << " lane " << b;
+    // Unpack a random block: live lanes match lane(), the rest untouched.
+    for (auto& w : block) w = rng();
+    const Vt sentinel = static_cast<Vt>(0xA5A5u);
+    std::vector<Vt> out(BitslicedGF::kLanes, sentinel);
+    bs.unpack_lanes(out.data(), block.data(), lanes);
+    for (int b = 0; b < BitslicedGF::kLanes; ++b)
+      EXPECT_EQ(out[static_cast<std::size_t>(b)],
+                b < lanes ? static_cast<Vt>(bs.lane(block.data(), b))
+                          : sentinel)
+          << "l=" << l << " lanes=" << lanes << " lane " << b;
+  }
+}
+
+TEST(BitslicedGF, TransposesMatchLaneAccessAtEveryWidthAndLaneCount) {
+  Xoshiro256 rng(61);
+  for (int l = 2; l <= 16; ++l) {
+    check_transposes<value_type>(l, rng);
+    if (l <= 8) check_transposes<std::uint8_t>(l, rng);
   }
 }
 
@@ -435,6 +481,218 @@ TEST(BitslicedPar, FailoverOutcomeIsKernelIndependent) {
   const auto seq = detect_kpath_seq(g, so, f);
   EXPECT_EQ(scalar.found, seq.found);
   EXPECT_EQ(scalar.found_round, seq.found_round);
+}
+
+// ---------------------------------------------------------------------------
+// Plane-native halos: byte-identical payloads, closed-form size
+// ---------------------------------------------------------------------------
+
+TEST(PlaneHalo, PartialBlockPackingRoundTripsAtEveryWidthAndLaneCount) {
+  Xoshiro256 rng(4141);
+  for (int l = 2; l <= 16; ++l)
+    for (int lanes = 1; lanes < 64; ++lanes) {
+      const std::uint64_t mask = (std::uint64_t{1} << lanes) - 1;
+      std::vector<std::uint64_t> planes(static_cast<std::size_t>(l));
+      for (auto& w : planes) w = rng();  // junk past `lanes` must not ship
+      std::vector<std::uint64_t> bits(static_cast<std::size_t>(l) + 1, 7);
+      detail::pack_plane_bits(bits.data(), planes.data(), l, lanes);
+      // Plane q holds bits [q * lanes, (q + 1) * lanes); nothing beyond.
+      for (int bit = 0; bit < 64 * (l + 1); ++bit) {
+        const bool set = ((bits[static_cast<std::size_t>(bit / 64)] >>
+                           (bit % 64)) & 1u) != 0;
+        const bool want =
+            bit < l * lanes &&
+            ((planes[static_cast<std::size_t>(bit / lanes)] >>
+              (bit % lanes)) & 1u) != 0;
+        ASSERT_EQ(set, want) << "l=" << l << " lanes=" << lanes
+                             << " bit " << bit;
+      }
+      std::vector<std::uint64_t> back(static_cast<std::size_t>(l));
+      detail::unpack_plane_bits(back.data(), bits.data(), l, lanes);
+      for (int q = 0; q < l; ++q)
+        EXPECT_EQ(back[static_cast<std::size_t>(q)],
+                  planes[static_cast<std::size_t>(q)] & mask)
+            << "l=" << l << " lanes=" << lanes << " plane " << q;
+    }
+}
+
+/// What one distributed run exposes for the cross-kernel halo comparison.
+struct HaloRun {
+  std::vector<int> answer;  // engine-specific decision encoding
+  std::vector<double> vclocks;
+  runtime::CommStats stats;
+};
+
+HaloRun halo_run(const MidasResult& r) {
+  return {{r.found ? 1 : 0, r.found_round, r.rounds_run}, r.vclocks,
+          r.total_stats};
+}
+
+HaloRun halo_run(const MidasScanResult& r) {
+  HaloRun out{{}, r.vclocks, r.total_stats};
+  for (const auto& row : r.table.feasible)
+    for (const bool cell : row) out.answer.push_back(cell ? 1 : 0);
+  return out;
+}
+
+/// Closed-form plane-native halo traffic of a clean run: every phase ships
+/// `exchanges` levels; each level carries, per send-list entry of every
+/// part, `units` rows of ceil(l * lanes / 8) bytes per 64-lane block.
+std::uint64_t plane_halo_bytes(const std::vector<partition::PartView>& views,
+                               const Schedule& sched, int l, int exchanges,
+                               std::uint64_t units) {
+  std::uint64_t sends = 0;
+  for (const auto& v : views)
+    for (const auto& list : v.send_to) sends += list.size();
+  std::uint64_t per_round = 0;
+  for (std::uint64_t ph = 0; ph < sched.phases(); ++ph) {
+    const auto [q0, q1] = sched.phase_range(ph);
+    std::uint64_t vertex_bytes = 0;
+    for (std::uint64_t b0 = q0; b0 < q1; b0 += 64) {
+      const std::uint64_t lanes = std::min<std::uint64_t>(64, q1 - b0);
+      vertex_bytes += (static_cast<std::uint64_t>(l) * lanes + 7) / 8;
+    }
+    per_round += static_cast<std::uint64_t>(exchanges) * units * sends *
+                 vertex_bytes;
+  }
+  return per_round * static_cast<std::uint64_t>(sched.rounds);
+}
+
+constexpr int kHaloK = 7;  // 128 iterations: N2 = 100 spans two blocks
+constexpr int kHaloRounds = 2;
+
+/// Runs `run(f, kernel, n1)` at l in {5, 8, 12} and N2 in {8, 36, 64, 100}
+/// (whole, partial and multi-block lane sets). Scalar and bit-sliced runs
+/// at N1 = 2 must agree on the answer, clocks, messages and bytes; the
+/// bytes beyond an N1 = 1 twin (same collectives, no halo) must equal the
+/// closed-form plane-native size.
+template <typename RunFn>
+void check_plane_halos(const char* engine,
+                       const std::vector<partition::PartView>& views,
+                       int exchanges, std::uint64_t units, RunFn&& run) {
+  auto at_width = [&](int l, const auto& f) {
+    for (const std::uint32_t n2 : {8u, 36u, 64u, 100u}) {
+      const std::string tag = std::string(engine) +
+                              " l=" + std::to_string(l) +
+                              " N2=" + std::to_string(n2);
+      const HaloRun scalar = run(f, Kernel::kScalar, 2, n2);
+      const HaloRun sliced = run(f, Kernel::kBitsliced, 2, n2);
+      const HaloRun twin = run(f, Kernel::kScalar, 1, n2);
+      EXPECT_EQ(sliced.answer, scalar.answer) << tag;
+      EXPECT_EQ(sliced.vclocks, scalar.vclocks) << tag;
+      EXPECT_EQ(sliced.stats.messages_sent, scalar.stats.messages_sent)
+          << tag;
+      EXPECT_EQ(sliced.stats.bytes_sent, scalar.stats.bytes_sent) << tag;
+      Schedule sched = make_schedule(kHaloK, 0.5, 4, 2, n2);
+      sched.rounds = kHaloRounds;
+      const std::uint64_t halo =
+          plane_halo_bytes(views, sched, l, exchanges, units);
+      ASSERT_GT(halo, 0u) << tag;  // the partition must cut edges
+      EXPECT_EQ(scalar.stats.bytes_sent - twin.stats.bytes_sent, halo)
+          << tag;
+    }
+  };
+  at_width(5, gf::GFSmall(5));
+  at_width(8, gf::GF256{});
+  at_width(12, gf::GFSmall(12));
+}
+
+MidasOptions halo_opts(Kernel kernel, int n1, std::uint32_t n2) {
+  MidasOptions o = par_opts(kHaloK, 4, n1, n2, kernel, 23);
+  o.max_rounds = kHaloRounds;
+  o.early_exit = false;
+  return o;
+}
+
+TEST(PlaneHalo, KPathUndirectedKernelsShipIdenticalPlaneNativeBytes) {
+  const Graph g = fixtures::gnp(18, 0.25, 4242);
+  const auto part = partition::multilevel_partition(g, 2);
+  const auto one = partition::block_partition(g, 1);
+  check_plane_halos("kpath", partition::build_part_views(g, part),
+                    kHaloK - 1, 1,
+                    [&](const auto& f, Kernel kernel, int n1,
+                        std::uint32_t n2) {
+                      return halo_run(midas_kpath(g, n1 == 1 ? one : part,
+                                                  halo_opts(kernel, n1, n2),
+                                                  f));
+                    });
+}
+
+TEST(PlaneHalo, KPathDirectedKernelsShipIdenticalPlaneNativeBytes) {
+  Xoshiro256 rng(4343);
+  const auto g = graph::random_digraph(18, 60, rng);
+  // Partitioners take undirected graphs; alternate owners instead.
+  partition::Partition part{2, std::vector<int>(g.num_vertices())};
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) part.owner[v] = v % 2;
+  const partition::Partition one{1, std::vector<int>(g.num_vertices(), 0)};
+  check_plane_halos("kpath-directed", partition::build_dipart_views(g, part),
+                    kHaloK - 1, 1,
+                    [&](const auto& f, Kernel kernel, int n1,
+                        std::uint32_t n2) {
+                      return halo_run(midas_kpath_directed(
+                          g, n1 == 1 ? one : part,
+                          halo_opts(kernel, n1, n2), f));
+                    });
+}
+
+TEST(PlaneHalo, KTreeKernelsShipIdenticalPlaneNativeBytes) {
+  const Graph g = fixtures::gnp(18, 0.25, 4444);
+  Xoshiro256 rng(45);
+  const TreeDecomposition td(graph::random_tree(kHaloK, rng), 0);
+  std::vector<bool> crosses(td.subtemplates().size(), false);
+  for (const auto& sub : td.subtemplates())
+    if (sub.child1 >= 0) crosses[static_cast<std::size_t>(sub.child2)] = true;
+  const int exchanges =
+      static_cast<int>(std::count(crosses.begin(), crosses.end(), true));
+  const auto part = partition::multilevel_partition(g, 2);
+  const auto one = partition::block_partition(g, 1);
+  check_plane_halos("ktree", partition::build_part_views(g, part), exchanges,
+                    1,
+                    [&](const auto& f, Kernel kernel, int n1,
+                        std::uint32_t n2) {
+                      return halo_run(midas_ktree(g, n1 == 1 ? one : part, td,
+                                                  halo_opts(kernel, n1, n2),
+                                                  f));
+                    });
+}
+
+TEST(PlaneHalo, ScanKernelsShipIdenticalPlaneNativeBytes) {
+  const Graph g = fixtures::gnp(12, 0.3, 4545);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  Xoshiro256 rng(46);
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(2));
+  // One row per weight 0..wmax, wmax the sum of the k largest weights.
+  std::vector<std::uint32_t> sorted(w);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  std::uint64_t width = 1;
+  for (int i = 0; i < kHaloK; ++i) width += sorted[static_cast<std::size_t>(i)];
+  const auto part = partition::multilevel_partition(g, 2);
+  const auto one = partition::block_partition(g, 1);
+  check_plane_halos("scan", partition::build_part_views(g, part), kHaloK - 1,
+                    width,
+                    [&](const auto& f, Kernel kernel, int n1,
+                        std::uint32_t n2) {
+                      return halo_run(midas_scan(g, n1 == 1 ? one : part, w,
+                                                 halo_opts(kernel, n1, n2),
+                                                 f));
+                    });
+}
+
+TEST(PlaneHalo, MotifKernelsShipIdenticalPlaneNativeBytes) {
+  const Graph g = fixtures::gnp(18, 0.3, 4646);
+  const auto colors = fixtures::draw_colors(g.num_vertices(), 3, 47);
+  const auto motif = fixtures::draw_motif(colors, kHaloK, 48);
+  const auto part = partition::multilevel_partition(g, 2);
+  const auto one = partition::block_partition(g, 1);
+  check_plane_halos("motif", partition::build_part_views(g, part), kHaloK - 1,
+                    1,
+                    [&](const auto& f, Kernel kernel, int n1,
+                        std::uint32_t n2) {
+                      return halo_run(midas_motif(g, n1 == 1 ? one : part,
+                                                  colors, motif,
+                                                  halo_opts(kernel, n1, n2),
+                                                  f));
+                    });
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -36,6 +37,41 @@ using service::QueryType;
 using service::QueryValidationError;
 using service::ServiceError;
 using service::ServiceOptions;
+
+// ---------------------------------------------------------------------------
+// Cost model
+// ---------------------------------------------------------------------------
+
+TEST(ServiceCostModel, HaloTermIsKernelIndependent) {
+  // The kernels differ only in the compute term, which N2 does not touch;
+  // the halo term moves with N2. If the halo term depended on the kernel,
+  // the scalar-minus-bitsliced gap would move with N2 too.
+  QuerySpec q;
+  q.k = 8;
+  q.n1 = 2;
+  auto cost = [&](core::Kernel kernel, std::uint32_t n2) {
+    q.kernel = kernel;
+    q.n2 = n2;
+    return service::estimate_query_cost(q, 1000, 4000);
+  };
+  for (const int l : {4, 8, 12}) {
+    q.field_bits = l;
+    const double gap8 =
+        cost(core::Kernel::kScalar, 8) - cost(core::Kernel::kBitsliced, 8);
+    for (const std::uint32_t n2 : {32u, 100u, 256u, 1024u}) {
+      EXPECT_NE(cost(core::Kernel::kBitsliced, n2),
+                cost(core::Kernel::kBitsliced, 8))
+          << "l=" << l << " N2=" << n2;
+      const double gap =
+          cost(core::Kernel::kScalar, n2) - cost(core::Kernel::kBitsliced, n2);
+      EXPECT_NEAR(gap, gap8, 1e-9 * std::abs(gap8))
+          << "l=" << l << " N2=" << n2;
+      EXPECT_EQ(cost(core::Kernel::kAuto, n2),
+                cost(core::Kernel::kBitsliced, n2))
+          << "l=" << l << " N2=" << n2;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // ArtifactCache properties
