@@ -7,12 +7,16 @@
 // are cross-checked for bit-identical round accumulators before timing is
 // reported, so a speedup can never come from computing something else.
 //
-// Distributed rows run the whole midas_kpath engine — leaf init, level
-// folds, plane-native halo exchanges, accumulate — at k = 8, N = 4,
-// N1 = 2 for N2 in {32, 64, 256, 1024} on an ER graph of 32 * n vertices
-// over GF(2^8), the service default, and report the median host wall
-// milliseconds of --reps runs per kernel. bit_exact there means equal
-// answers, virtual clocks, message counts and halo bytes.
+// Distributed rows run whole engines — leaf init, level folds, plane-native
+// halo exchanges, accumulate — at N = 4, N1 = 2 for N2 in {32, 64, 256,
+// 1024} on an ER graph of 32 * n vertices over GF(2^8), the service
+// default: midas_kpath at k = 8, midas_motif at k = 6 (colors from a
+// palette of 3, motif {0, 0, 1, 1, 2, 2}) and midas_scan at k = 3 (weights
+// 0..4). N2 is clamped to the 2^k iterations, so motif runs one 64-lane
+// phase and scan one 8-lane phase at every N2 >= 64. Each row reports the
+// median host wall milliseconds of --reps runs per kernel; bit_exact means
+// equal answers (scan: tables), virtual clocks, message counts and halo
+// bytes.
 //
 //   ./bench_bitsliced_kernels [--n=128] [--kmax=16] [--seed=1] [--reps=5]
 //                             [--json=BENCH_kernels.json]
@@ -36,6 +40,7 @@
 #include "partition/multilevel.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "util/args.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -53,6 +58,8 @@ struct Row {
 };
 
 struct DistRow {
+  const char* engine;
+  int k;
   std::uint32_t n2;
   double scalar_ms;     // median host wall ms, scalar kernel
   double bitsliced_ms;  // median host wall ms, bit-sliced kernel
@@ -96,18 +103,38 @@ Row run_pair(const midas::graph::Graph& g, const std::string& name, int bits,
           core::kernel_name(f, core::Kernel::kAuto)};
 }
 
-constexpr int kDistK = 8;
 constexpr int kDistRanks = 4;
 constexpr int kDistN1 = 2;
 
-/// One distributed k-path row: both kernels `reps` times each, alternating
-/// so machine drift hits both sides alike.
-DistRow run_dist(const std::vector<midas::partition::PartView>& views,
-                 std::uint32_t n2, std::uint64_t seed, int reps) {
+/// What one distributed run exposes for the cross-kernel comparison.
+struct DistRun {
+  std::vector<std::uint64_t> answer;  // engine-specific decision encoding
+  double wall_s = 0.0;
+  std::vector<double> vclocks;
+  midas::runtime::CommStats stats;
+};
+
+DistRun dist_run(const midas::core::MidasResult& r) {
+  return {{r.found ? 1u : 0u, static_cast<std::uint64_t>(r.found_round),
+           static_cast<std::uint64_t>(r.rounds_run)},
+          r.wall_s, r.vclocks, r.total_stats};
+}
+
+DistRun dist_run(const midas::core::MidasScanResult& r) {
+  DistRun out{{}, r.wall_s, r.vclocks, r.total_stats};
+  for (const auto& row : r.table.feasible)
+    for (const bool cell : row) out.answer.push_back(cell ? 1 : 0);
+  return out;
+}
+
+/// One distributed row: `run(opt)` under both kernels `reps` times each,
+/// alternating so machine drift hits both sides alike.
+template <typename RunFn>
+DistRow run_dist(const char* engine, int k, std::uint32_t n2,
+                 std::uint64_t seed, int reps, RunFn&& run) {
   using namespace midas;
-  const gf::GF256 f;
   core::MidasOptions opt;
-  opt.k = kDistK;
+  opt.k = k;
   opt.seed = seed;
   opt.n_ranks = kDistRanks;
   opt.n1 = kDistN1;
@@ -115,11 +142,11 @@ DistRow run_dist(const std::vector<midas::partition::PartView>& views,
   opt.max_rounds = 2;
   opt.early_exit = false;
   std::vector<double> ms[2];
-  core::MidasResult res[2];
+  DistRun res[2];
   for (int rep = -1; rep < reps; ++rep)  // rep -1 warms both kernels up
     for (int b = 0; b < 2; ++b) {
       opt.kernel = b == 0 ? core::Kernel::kScalar : core::Kernel::kBitsliced;
-      res[b] = core::midas_kpath_views(views, opt, f);
+      res[b] = run(opt);
       if (rep >= 0) ms[b].push_back(res[b].wall_s * 1e3);
     }
   auto median = [](std::vector<double> xs) {
@@ -129,12 +156,10 @@ DistRow run_dist(const std::vector<midas::partition::PartView>& views,
   const double s = median(ms[0]);
   const double b = median(ms[1]);
   const bool exact =
-      res[0].found == res[1].found &&
-      res[0].found_round == res[1].found_round &&
-      res[0].vclocks == res[1].vclocks &&
-      res[0].total_stats.messages_sent == res[1].total_stats.messages_sent &&
-      res[0].total_stats.bytes_sent == res[1].total_stats.bytes_sent;
-  return {n2, s, b, s / b, exact};
+      res[0].answer == res[1].answer && res[0].vclocks == res[1].vclocks &&
+      res[0].stats.messages_sent == res[1].stats.messages_sent &&
+      res[0].stats.bytes_sent == res[1].stats.bytes_sent;
+  return {engine, k, n2, s, b, s / b, exact};
 }
 
 std::string cpu_model() {
@@ -176,19 +201,18 @@ void write_json(const std::string& path, midas::graph::VertexId n,
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
-               "  \"distributed\": {\"engine\": \"midas_kpath\", "
-               "\"field\": \"GF256\", \"k\": %d, \"N\": %d, "
+               "  \"distributed\": {\"field\": \"GF256\", \"N\": %d, "
                "\"N1\": %d, \"n\": %llu, \"rounds\": 2, \"reps\": %d, "
                "\"unit\": \"median host wall ms\", \"rows\": [\n",
-               kDistK, kDistRanks, kDistN1,
-               static_cast<unsigned long long>(dist_n), reps);
+               kDistRanks, kDistN1, static_cast<unsigned long long>(dist_n),
+               reps);
   for (std::size_t i = 0; i < dist.size(); ++i) {
     const DistRow& r = dist[i];
     std::fprintf(out,
-                 "    {\"n2\": %u, \"scalar_ms\": %.3f, "
-                 "\"bitsliced_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"bit_exact\": %s}%s\n",
-                 r.n2, r.scalar_ms, r.bitsliced_ms, r.speedup,
+                 "    {\"engine\": \"%s\", \"k\": %d, \"n2\": %u, "
+                 "\"scalar_ms\": %.3f, \"bitsliced_ms\": %.3f, "
+                 "\"speedup\": %.2f, \"bit_exact\": %s}%s\n",
+                 r.engine, r.k, r.n2, r.scalar_ms, r.bitsliced_ms, r.speedup,
                  r.exact ? "true" : "false", i + 1 < dist.size() ? "," : "");
   }
   std::fprintf(out, "  ]},\n");
@@ -254,16 +278,40 @@ int main(int argc, char** argv) {
   const auto big = bench::make_dataset("random", dist_n, seed);
   const auto views = partition::build_part_views(
       big.graph, partition::multilevel_partition(big.graph, kDistN1));
+  Xoshiro256 rng(seed * 977 + 3);
+  std::vector<std::uint32_t> colors(dist_n), weights(dist_n);
+  for (auto& c : colors) c = static_cast<std::uint32_t>(rng.below(3));
+  for (auto& w : weights) w = static_cast<std::uint32_t>(rng.below(5));
+  const std::vector<std::uint32_t> motif{0, 0, 1, 1, 2, 2};
+  const gf::GF256 f;
   std::vector<DistRow> dist;
   for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
-    dist.push_back(run_dist(views, n2, seed, reps));
-  Table dtable({"N2", "scalar_ms", "bitsliced_ms", "speedup", "bit_exact"});
+    dist.push_back(run_dist("midas_kpath", 8, n2, seed, reps,
+                            [&](const core::MidasOptions& o) {
+                              return dist_run(
+                                  core::midas_kpath_views(views, o, f));
+                            }));
+  for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
+    dist.push_back(run_dist("midas_motif", 6, n2, seed, reps,
+                            [&](const core::MidasOptions& o) {
+                              return dist_run(core::midas_motif_views(
+                                  views, colors, motif, o, f));
+                            }));
+  for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
+    dist.push_back(run_dist("midas_scan", 3, n2, seed, reps,
+                            [&](const core::MidasOptions& o) {
+                              return dist_run(core::midas_scan_views(
+                                  views, weights, o, f));
+                            }));
+  Table dtable({"engine", "k", "N2", "scalar_ms", "bitsliced_ms", "speedup",
+                "bit_exact"});
   for (const DistRow& r : dist)
-    dtable.add_row({Table::cell(std::int64_t{r.n2}),
+    dtable.add_row({r.engine, Table::cell(std::int64_t{r.k}),
+                    Table::cell(std::int64_t{r.n2}),
                     Table::cell(r.scalar_ms, 3), Table::cell(r.bitsliced_ms, 3),
                     Table::cell(r.speedup, 2), r.exact ? "yes" : "NO"});
   std::printf("\n");
-  dtable.print(("midas_kpath k=8 N=4 N1=2 GF(2^8), n=" +
+  dtable.print(("distributed engines, N=4 N1=2 GF(2^8), n=" +
                 std::to_string(dist_n) + ", 2 rounds; median of " +
                 std::to_string(reps) + " host wall ms, lower is better")
                    .c_str());

@@ -10,12 +10,13 @@ three gates:
      the PR 3 acceptance threshold);
   2. relative: every (field, k) row present in the committed baseline
      BENCH_kernels.json must keep bit_exact == true;
-  3. distributed: in the bench's end-to-end midas_kpath rows (k = 8,
-     N = 4, N1 = 2, N2 in {32, 64, 256, 1024}), the bit-sliced kernel must
-     not be slower than scalar at any N2 >= 64, and every row must be
-     bit_exact (equal answers, clocks, messages and halo bytes). Before
-     gating, the check proves it can fail: a fixture row with bit-sliced
-     slower than scalar must be rejected.
+  3. distributed: in the bench's end-to-end engine rows (midas_kpath at
+     k = 8, midas_motif at k = 6 and midas_scan at k = 3; N = 4, N1 = 2,
+     N2 in {32, 64, 256, 1024}), the bit-sliced kernel must not be slower
+     than scalar at any N2 >= 64, and every row must be bit_exact (equal
+     answers, clocks, messages and halo bytes). Before gating, the check
+     proves it can fail: a fixture row with bit-sliced slower than scalar
+     must be rejected.
 
 The absolute gate deliberately sits far below the committed baseline
 (~11x): CI runners are noisy shared machines, and this check exists to
@@ -116,7 +117,7 @@ def validate_baselines(paths) -> int:
     return 0
 
 
-# Smallest N2 at which the distributed bit-sliced k-path must match scalar:
+# Smallest N2 at which a distributed bit-sliced engine must match scalar:
 # below one full 64-lane block the bit-sliced kernel runs underfilled.
 DIST_GATE_MIN_N2 = 64
 
@@ -125,27 +126,29 @@ def distributed_failures(rows) -> list:
     """Gate 3 over a bench's distributed rows; returns failure messages."""
     failures = []
     for r in rows:
+        name = f"distributed {r['engine']} N2={r['n2']}"
         if not r.get("bit_exact"):
-            failures.append(f"distributed N2={r['n2']}: kernels no longer "
-                            "bit-identical (answers/clocks/bytes)")
+            failures.append(f"{name}: kernels no longer bit-identical "
+                            "(answers/clocks/bytes)")
         if r["n2"] >= DIST_GATE_MIN_N2 and r["bitsliced_ms"] > r["scalar_ms"]:
             failures.append(
-                f"distributed N2={r['n2']}: bit-sliced {r['bitsliced_ms']:.2f}"
-                f" ms slower than scalar {r['scalar_ms']:.2f} ms")
+                f"{name}: bit-sliced {r['bitsliced_ms']:.2f} ms slower than "
+                f"scalar {r['scalar_ms']:.2f} ms")
     return failures
 
 
 def gate_self_test() -> bool:
     """The distributed gate must reject a bit-sliced-slower row at N2 >= 64
-    and accept rows where it is faster (or slower only below N2 = 64)."""
-    slow = [{"n2": 64, "scalar_ms": 10.0, "bitsliced_ms": 12.0,
-             "bit_exact": True}]
-    fine = [{"n2": 32, "scalar_ms": 10.0, "bitsliced_ms": 12.0,
-             "bit_exact": True},
-            {"n2": 256, "scalar_ms": 10.0, "bitsliced_ms": 4.0,
-             "bit_exact": True}]
-    inexact = [{"n2": 256, "scalar_ms": 10.0, "bitsliced_ms": 4.0,
-                "bit_exact": False}]
+    in any engine and accept rows where it is faster (or slower only below
+    N2 = 64)."""
+    slow = [{"engine": "midas_motif", "n2": 64, "scalar_ms": 10.0,
+             "bitsliced_ms": 12.0, "bit_exact": True}]
+    fine = [{"engine": "midas_kpath", "n2": 32, "scalar_ms": 10.0,
+             "bitsliced_ms": 12.0, "bit_exact": True},
+            {"engine": "midas_scan", "n2": 256, "scalar_ms": 10.0,
+             "bitsliced_ms": 4.0, "bit_exact": True}]
+    inexact = [{"engine": "midas_scan", "n2": 256, "scalar_ms": 10.0,
+                "bitsliced_ms": 4.0, "bit_exact": False}]
     ok = (bool(distributed_failures(slow)) and not distributed_failures(fine)
           and bool(distributed_failures(inexact)))
     print(f"distributed gate self-test: {'ok' if ok else 'BROKEN'}")
@@ -326,7 +329,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
     for r in dist:
-        print(f"distributed midas_kpath N2={r['n2']}: scalar "
+        print(f"distributed {r['engine']} k={r['k']} N2={r['n2']}: scalar "
               f"{r['scalar_ms']:.2f} ms, bit-sliced {r['bitsliced_ms']:.2f} ms"
               f" = {r['speedup']:.2f}x, bit_exact={r['bit_exact']}")
     failures.extend(distributed_failures(dist))

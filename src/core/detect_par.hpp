@@ -28,6 +28,7 @@
 #include "core/detect_seq.hpp"
 #include "core/errors.hpp"
 #include "core/hashrand.hpp"
+#include "core/layered_fold.hpp"
 #include "core/motif.hpp"
 #include "core/schedule.hpp"
 #include "core/tree_template.hpp"
@@ -814,34 +815,37 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
       for (int j = 2; j <= k; ++j) {
         detail::halo_exchange_planes(group, view, bs, 1, batch, bcur, bghost);
 
-        const gf::BitslicedGF::Matrix* mj =
+        const BS::Matrix* mj =
             mats.data() + static_cast<std::size_t>(j - 2) * nl;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            word* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * L];
-            const word m =
-                blive[static_cast<std::size_t>(li) * nblocks + blk];
-            if (m == 0) {
-              bs.clear(out);
-              continue;
+        // Fixed-width fold: the plane count is a compile-time LC from here.
+        gf::detail_bs::dispatch_width(L, [&](auto lc) {
+          constexpr int LC = decltype(lc)::value;
+          for (std::uint32_t li = 0; li < nl; ++li) {
+            const auto begin = view.adj_offsets[li];
+            const auto end = view.adj_offsets[li + 1];
+            for (std::size_t blk = 0; blk < nblocks; ++blk) {
+              word* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * LC];
+              const word m =
+                  blive[static_cast<std::size_t>(li) * nblocks + blk];
+              if (m == 0) {
+                BS::clear_w<LC>(out);
+                continue;
+              }
+              word acc[LC] = {};
+              for (auto e = begin; e < end; ++e) {
+                const auto ref = view.adj[e];
+                const word* src =
+                    ref.is_ghost()
+                        ? &bghost[static_cast<std::size_t>(ref.index()) * wpv +
+                                  blk * LC]
+                        : &bcur[static_cast<std::size_t>(ref.index()) * wpv +
+                                blk * LC];
+                BS::add_into_w<LC>(acc, src);
+              }
+              BS::mul_matrix_masked_w<LC>(out, mj[li], acc, m);
             }
-            word acc[16] = {};
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const word* src =
-                  ref.is_ghost()
-                      ? &bghost[static_cast<std::size_t>(ref.index()) * wpv +
-                                blk * L]
-                      : &bcur[static_cast<std::size_t>(ref.index()) * wpv +
-                              blk * L];
-              bs.add_into(acc, src);
-            }
-            bs.mul_matrix(out, mj[li], acc);
-            bs.mask_block(out, m);
           }
-        }
+        });
         // Charge the same logical work as the scalar kernel: one add per
         // adjacency entry per lane, one gate/scale per vertex-lane.
         const std::uint64_t ops =
@@ -850,12 +854,9 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
         world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
         std::swap(bcur, bnext);
       }
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum, &bcur[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
+      for (std::size_t blk = 0; blk < nblocks; ++blk)
+        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
+                                 bs, bcur, blk * L, nl, wpv)));
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
@@ -1446,29 +1447,33 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
           const auto& own = bvals[static_cast<std::size_t>(sub.child1)];
           const auto& oth = bvals[static_cast<std::size_t>(sub.child2)];
           const auto& oth_ghost = bgh[static_cast<std::size_t>(sub.child2)];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const auto begin = view.adj_offsets[li];
-            const auto end = view.adj_offsets[li + 1];
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              word* dst = &out[static_cast<std::size_t>(li) * wpv + blk * L];
-              const word* own_blk =
-                  &own[static_cast<std::size_t>(li) * wpv + blk * L];
-              if (bs.is_zero(own_blk)) continue;  // product stays zero
-              word acc[16] = {};
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const word* src =
-                    ref.is_ghost()
-                        ? &oth_ghost[static_cast<std::size_t>(ref.index()) *
-                                         wpv +
-                                     blk * L]
-                        : &oth[static_cast<std::size_t>(ref.index()) * wpv +
-                               blk * L];
-                bs.add_into(acc, src);
+          gf::detail_bs::dispatch_width(L, [&](auto lc) {
+            constexpr int LC = decltype(lc)::value;
+            for (std::uint32_t li = 0; li < nl; ++li) {
+              const auto begin = view.adj_offsets[li];
+              const auto end = view.adj_offsets[li + 1];
+              for (std::size_t blk = 0; blk < nblocks; ++blk) {
+                word* dst =
+                    &out[static_cast<std::size_t>(li) * wpv + blk * LC];
+                const word* own_blk =
+                    &own[static_cast<std::size_t>(li) * wpv + blk * LC];
+                if (BS::is_zero_w<LC>(own_blk)) continue;  // product is zero
+                word acc[LC] = {};
+                for (auto e = begin; e < end; ++e) {
+                  const auto ref = view.adj[e];
+                  const word* src =
+                      ref.is_ghost()
+                          ? &oth_ghost[static_cast<std::size_t>(ref.index()) *
+                                           wpv +
+                                       blk * LC]
+                          : &oth[static_cast<std::size_t>(ref.index()) * wpv +
+                                 blk * LC];
+                  BS::add_into_w<LC>(acc, src);
+                }
+                bs.template mul_w<LC>(dst, own_blk, acc);
               }
-              bs.mul(dst, own_blk, acc);
             }
-          }
+          });
           // Same logical work as the scalar kernel: one add per adjacency
           // entry per lane plus one multiply per vertex-lane.
           ops = (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
@@ -1482,13 +1487,9 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
         }
       }
       const auto& root = bvals[static_cast<std::size_t>(td.root_id())];
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum,
-                      &root[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
+      for (std::size_t blk = 0; blk < nblocks; ++blk)
+        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
+                                 bs, root, blk * L, nl, wpv)));
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
@@ -1680,6 +1681,7 @@ MidasScanResult midas_scan_views(
         std::vector<std::vector<std::uint64_t>> bghost(
             static_cast<std::size_t>(k) + 1);
         std::vector<std::uint64_t> blive;
+        detail_fold::LayeredFold fold;
         if constexpr (gf::Bitsliceable<F>) {
           if (bitsliced) bse.emplace(f);
         }
@@ -1802,11 +1804,14 @@ MidasScanResult midas_scan_views(
           world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
         };
 
-        // The same phase, bit-sliced. For each (vertex, edge, weight z) the
-        // weight convolution accumulates lane-wise products into one block,
-        // then one sigma matrix apply folds it into the output — value-
-        // identical to the scalar kernel by distributivity. Charges and
-        // halo bytes mirror the scalar kernel exactly.
+        // The same phase, bit-sliced, folded neighbour-first at fixed width
+        // (core/layered_fold.hpp). Per edge, one sigma matrix apply per
+        // non-zero neighbour block builds N[j1][z'] = sum_u sigma *
+        // b_u[j - j1][z']; per vertex, the weight convolution out[z] ^=
+        // a_v[j1][z1] * N[j1][z - z1] pays the lane-wise multiplies once
+        // instead of once per edge. The scalar kernel's per-edge order
+        // regroups into this exactly by distributivity. Charges and halo
+        // bytes mirror the scalar kernel exactly.
         auto run_phase_bs = [&](const auto& bs, int round,
                                 std::uint64_t phase) {
           using BS = gf::BitslicedGF;
@@ -1862,54 +1867,38 @@ MidasScanResult midas_scan_views(
 
           for (int j = 2; j <= k; ++j) {
             auto& out = bvals[static_cast<std::size_t>(j)];
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const auto begin = view.adj_offsets[li];
-              const auto end = view.adj_offsets[li + 1];
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const bool is_ghost = ref.is_ghost();
-                const std::uint32_t idx = ref.index();
-                const graph::VertexId u_gid =
-                    is_ghost ? view.ghosts[idx] : view.vertices[idx];
-                const BS::Matrix sig = bs.matrix(
-                    static_cast<BS::value_type>(sigma_coeff(
-                        f, opt.seed, round, gid, u_gid,
-                        static_cast<std::uint32_t>(j))));
-                for (std::uint32_t z = 0; z < width; ++z)
-                  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-                    word acc[16] = {};
-                    word prod[16];
-                    bool any = false;
-                    for (int j1 = 1; j1 <= j - 1; ++j1) {
-                      const auto& own = bvals[static_cast<std::size_t>(j1)];
-                      const auto& oth =
-                          is_ghost
-                              ? bghost[static_cast<std::size_t>(j - j1)]
-                              : bvals[static_cast<std::size_t>(j - j1)];
-                      const word* own_v =
-                          own.data() + static_cast<std::size_t>(li) * wrow;
-                      const word* oth_v =
-                          oth.data() + static_cast<std::size_t>(idx) * wrow;
-                      for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                        const word* a = own_v + z1 * wpv + blk * L;
-                        if (bs.is_zero(a)) continue;
-                        const word* bb = oth_v + (z - z1) * wpv + blk * L;
-                        if (bs.is_zero(bb)) continue;
-                        bs.mul(prod, a, bb);
-                        bs.add_into(acc, prod);
-                        any = true;
-                      }
-                    }
-                    if (!any) continue;
-                    word scaled[16];
-                    bs.mul_matrix(scaled, sig, acc);
-                    bs.add_into(&out[static_cast<std::size_t>(li) * wrow +
-                                     z * wpv + blk * L],
-                                scaled);
-                  }
+            fold.level(j, width, nblocks, wpv, L);
+            gf::detail_bs::dispatch_width(L, [&](auto lc) {
+              constexpr int LC = decltype(lc)::value;
+              for (std::uint32_t li = 0; li < nl; ++li) {
+                const std::size_t row = static_cast<std::size_t>(li) * wrow;
+                if (!fold.vertex<LC>([&](int j1) {
+                      return bvals[static_cast<std::size_t>(j1)].data() + row;
+                    }))
+                  continue;  // every own block is zero: out stays zero
+                const graph::VertexId gid = view.vertices[li];
+                const auto begin = view.adj_offsets[li];
+                const auto end = view.adj_offsets[li + 1];
+                for (auto e = begin; e < end; ++e) {
+                  const auto ref = view.adj[e];
+                  const bool is_ghost = ref.is_ghost();
+                  const std::uint32_t idx = ref.index();
+                  const graph::VertexId u_gid =
+                      is_ghost ? view.ghosts[idx] : view.vertices[idx];
+                  const BS::Matrix sig = bs.matrix(
+                      static_cast<BS::value_type>(sigma_coeff(
+                          f, opt.seed, round, gid, u_gid,
+                          static_cast<std::uint32_t>(j))));
+                  fold.neighbour<LC>(sig, [&](int j2) {
+                    const auto& layer =
+                        is_ghost ? bghost[static_cast<std::size_t>(j2)]
+                                 : bvals[static_cast<std::size_t>(j2)];
+                    return layer.data() + static_cast<std::size_t>(idx) * wrow;
+                  });
+                }
+                fold.finish<LC>(bs, out.data() + row);
               }
-            }
+            });
             // Same logical work as the scalar kernel's (edge, j1, z, z1)
             // sweep, in closed form.
             const std::uint64_t ops =
@@ -1936,12 +1925,10 @@ MidasScanResult midas_scan_views(
                 const word m = lv >= BS::kLanes
                                    ? ~word{0}
                                    : (word{1} << lv) - 1;
-                word sum[16] = {};
-                for (std::uint32_t li = 0; li < nl; ++li)
-                  bs.add_into(sum, &layer[static_cast<std::size_t>(li) * wrow +
-                                          z * wpv + blk * L]);
-                acc_row[z] =
-                    f.add(acc_row[z], static_cast<V>(bs.fold_xor(sum, m)));
+                acc_row[z] = f.add(
+                    acc_row[z],
+                    static_cast<V>(gf::fold_xor_rows(
+                        bs, layer, z * wpv + blk * L, nl, wrow, m)));
               }
           }
           world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
@@ -2135,6 +2122,7 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
         static_cast<std::size_t>(k) + 1);
     std::vector<std::vector<std::uint64_t>> bghost(
         static_cast<std::size_t>(k) + 1);
+    detail_fold::LayeredFold fold;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
         bse.emplace(f);
@@ -2221,13 +2209,16 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
 
     // The same phase, bit-sliced: leaf blocks come from the shade-plane
     // construction (aligned fast path, per-lane fallback at unaligned
-    // phase bases), internal layers are the lane-wise convolution with one
-    // sigma matrix apply per (edge, block). Charges and halo bytes mirror
-    // the scalar kernel exactly.
+    // phase bases). Internal layers fold neighbour-first at fixed width
+    // (core/layered_fold.hpp): per edge, one sigma matrix apply per
+    // non-zero neighbour block into N[j1] = sum_u sigma * b_u[j - j1];
+    // per vertex, one lane-wise multiply a_v[j1] * N[j1] per j1. The
+    // scalar kernel's per-edge sum sigma * sum_j1 a_v[j1] * b_u[j - j1]
+    // regroups into exactly this by distributivity, so every field element
+    // is unchanged. Charges and halo bytes mirror the scalar kernel exactly.
     auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
                             V& total) {
       using BS = gf::BitslicedGF;
-      using word = BS::word;
       const int L = bs.words();
       const auto [q0, q1] = sched.phase_range(phase);
       const std::size_t batch = q1 - q0;
@@ -2270,48 +2261,38 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
 
       for (int j = 2; j <= k; ++j) {
         auto& out = bvals[static_cast<std::size_t>(j)];
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const bool is_ghost = ref.is_ghost();
-            const std::uint32_t idx = ref.index();
-            const graph::VertexId u_gid =
-                is_ghost ? view.ghosts[idx] : view.vertices[idx];
-            const BS::Matrix sig = bs.matrix(
-                static_cast<BS::value_type>(sigma_coeff(
-                    f, opt.seed, round, gid, u_gid,
-                    static_cast<std::uint32_t>(j))));
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              word acc[16] = {};
-              word prod[16];
-              bool any = false;
-              for (int j1 = 1; j1 <= j - 1; ++j1) {
-                const word* a =
-                    &bvals[static_cast<std::size_t>(j1)]
-                          [static_cast<std::size_t>(li) * wpv + blk * L];
-                if (bs.is_zero(a)) continue;
-                const auto& oth =
-                    is_ghost ? bghost[static_cast<std::size_t>(j - j1)]
-                             : bvals[static_cast<std::size_t>(j - j1)];
-                const word* b =
-                    &oth[static_cast<std::size_t>(idx) * wpv + blk * L];
-                if (bs.is_zero(b)) continue;
-                bs.mul(prod, a, b);
-                bs.add_into(acc, prod);
-                any = true;
-              }
-              if (!any) continue;
-              word scaled[16];
-              bs.mul_matrix(scaled, sig, acc);
-              bs.add_into(
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  scaled);
+        fold.level(j, 1, nblocks, 0, L);
+        gf::detail_bs::dispatch_width(L, [&](auto lc) {
+          constexpr int LC = decltype(lc)::value;
+          for (std::uint32_t li = 0; li < nl; ++li) {
+            const std::size_t row = static_cast<std::size_t>(li) * wpv;
+            if (!fold.vertex<LC>([&](int j1) {
+                  return bvals[static_cast<std::size_t>(j1)].data() + row;
+                }))
+              continue;  // every own block is zero: out stays zero
+            const graph::VertexId gid = view.vertices[li];
+            const auto begin = view.adj_offsets[li];
+            const auto end = view.adj_offsets[li + 1];
+            for (auto e = begin; e < end; ++e) {
+              const auto ref = view.adj[e];
+              const bool is_ghost = ref.is_ghost();
+              const std::uint32_t idx = ref.index();
+              const graph::VertexId u_gid =
+                  is_ghost ? view.ghosts[idx] : view.vertices[idx];
+              const BS::Matrix sig = bs.matrix(
+                  static_cast<BS::value_type>(sigma_coeff(
+                      f, opt.seed, round, gid, u_gid,
+                      static_cast<std::uint32_t>(j))));
+              fold.neighbour<LC>(sig, [&](int j2) {
+                const auto& layer = is_ghost
+                                        ? bghost[static_cast<std::size_t>(j2)]
+                                        : bvals[static_cast<std::size_t>(j2)];
+                return layer.data() + static_cast<std::size_t>(idx) * wpv;
+              });
             }
+            fold.finish<LC>(bs, out.data() + row);
           }
-        }
+        });
         // Same logical work as the scalar kernel's (edge, j1) row sweep,
         // in closed form.
         const std::uint64_t ops =
@@ -2321,13 +2302,9 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
         if (j < k) exchange_layer(j);
       }
       const auto& top = bvals[static_cast<std::size_t>(k)];
-      for (std::size_t blk = 0; blk < nblocks; ++blk) {
-        word sum[16] = {};
-        for (std::uint32_t li = 0; li < nl; ++li)
-          bs.add_into(sum,
-                      &top[static_cast<std::size_t>(li) * wpv + blk * L]);
-        total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      }
+      for (std::size_t blk = 0; blk < nblocks; ++blk)
+        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
+                                 bs, top, blk * L, nl, wpv)));
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 

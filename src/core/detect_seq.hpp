@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/hashrand.hpp"
+#include "core/layered_fold.hpp"
 #include "core/schedule.hpp"
 #include "core/tree_template.hpp"
 #include "gf/bitsliced.hpp"
@@ -604,6 +605,7 @@ void scan_bitsliced(const graph::Graph& g,
         static_cast<std::size_t>(width) * n * L, 0);
   std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
                                     std::vector<V>(width, f.zero()));
+  detail_fold::LayeredFold fold;
 
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
@@ -624,41 +626,31 @@ void scan_bitsliced(const graph::Graph& g,
         bs.broadcast(
             &base[(static_cast<std::size_t>(weights[i]) * n + i) * L], c1[i],
             live[i]);
+      // Neighbour-first, fixed-width fold (core/layered_fold.hpp): vertex
+      // i's row in layer j starts at word i * L, weight rows n * L apart.
       for (int j = 2; j <= k; ++j) {
         auto& out = vals[static_cast<std::size_t>(j)];
         std::fill(out.begin(), out.end(), 0);
-        for (graph::VertexId i = 0; i < n; ++i) {
-          for (graph::VertexId u : g.neighbors(i)) {
-            const BS::Matrix sig = bs.matrix(sigma_coeff(
-                f, opt.seed, round, i, u, static_cast<std::uint32_t>(j)));
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const auto& own = vals[static_cast<std::size_t>(j1)];
-              const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t z = 0; z < width; ++z) {
-                word acc[16] = {};
-                word prod[16];
-                bool any = false;
-                for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                  const word* a =
-                      &own[(static_cast<std::size_t>(z1) * n + i) * L];
-                  if (bs.is_zero(a)) continue;
-                  const word* b =
-                      &oth[(static_cast<std::size_t>(z - z1) * n + u) * L];
-                  if (bs.is_zero(b)) continue;
-                  bs.mul(prod, a, b);
-                  bs.add_into(acc, prod);
-                  any = true;
-                }
-                if (any && !bs.is_zero(acc)) {
-                  word scaled[16];
-                  bs.mul_matrix(scaled, sig, acc);
-                  bs.add_into(&out[(static_cast<std::size_t>(z) * n + i) * L],
-                              scaled);
-                }
-              }
+        fold.level(j, width, 1, static_cast<std::size_t>(n) * L, L);
+        gf::detail_bs::dispatch_width(L, [&](auto lc) {
+          constexpr int LC = decltype(lc)::value;
+          for (graph::VertexId i = 0; i < n; ++i) {
+            const std::size_t row = static_cast<std::size_t>(i) * LC;
+            if (!fold.vertex<LC>([&](int j1) {
+                  return vals[static_cast<std::size_t>(j1)].data() + row;
+                }))
+              continue;
+            for (graph::VertexId u : g.neighbors(i)) {
+              const BS::Matrix sig = bs.matrix(sigma_coeff(
+                  f, opt.seed, round, i, u, static_cast<std::uint32_t>(j)));
+              fold.neighbour<LC>(sig, [&](int j2) {
+                return vals[static_cast<std::size_t>(j2)].data() +
+                       static_cast<std::size_t>(u) * LC;
+              });
             }
+            fold.finish<LC>(bs, out.data() + row);
           }
-        }
+        });
       }
       // Size-j accumulators only fold iterations t < 2^j (see the scalar
       // kernel's comment); within this block that is a prefix lane mask.
@@ -669,15 +661,12 @@ void scan_bitsliced(const graph::Graph& g,
             std::min<std::uint64_t>(lanes, lim - base_t));
         const word jmask =
             lv >= BS::kLanes ? ~word{0} : ((word{1} << lv) - 1);
-        const auto& layer = vals[static_cast<std::size_t>(j)];
         auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t z = 0; z < width; ++z) {
-          word sum[16] = {};
-          for (graph::VertexId i = 0; i < n; ++i)
-            bs.add_into(sum,
-                        &layer[(static_cast<std::size_t>(z) * n + i) * L]);
-          acc[z] = f.add(acc[z], static_cast<V>(bs.fold_xor(sum, jmask)));
-        }
+        for (std::uint32_t z = 0; z < width; ++z)
+          acc[z] = f.add(acc[z], static_cast<V>(gf::fold_xor_rows(
+                                     bs, vals[static_cast<std::size_t>(j)],
+                                     static_cast<std::size_t>(z) * n * L, n,
+                                     L, jmask)));
       }
     }
     for (int j = 1; j <= k; ++j)

@@ -45,6 +45,7 @@
 
 #include "core/detect_seq.hpp"
 #include "core/hashrand.hpp"
+#include "core/layered_fold.hpp"
 #include "gf/bitsliced.hpp"
 #include "gf/field.hpp"
 #include "graph/csr.hpp"
@@ -251,6 +252,7 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
   for (int j = 1; j <= k; ++j)
     vals[static_cast<std::size_t>(j)].resize(
         static_cast<std::size_t>(n) * wpv);
+  detail_fold::LayeredFold fold;
 
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
@@ -269,49 +271,39 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
                     us.data() + static_cast<std::size_t>(i) * k,
                     plan.vertex_mask[i], k, blk * BS::kLanes,
                     lanes_of(blk));
+    // Neighbour-first, fixed-width fold (core/layered_fold.hpp), the same
+    // formulation as the distributed engine's.
     for (int j = 2; j <= k; ++j) {
       auto& out = vals[static_cast<std::size_t>(j)];
       std::fill(out.begin(), out.end(), word{0});
-      for (graph::VertexId i = 0; i < n; ++i) {
-        for (graph::VertexId u : g.neighbors(i)) {
-          const BS::Matrix sig =
-              bs.matrix(static_cast<BS::value_type>(sigma_coeff(
-                  f, opt.seed, round, i, u, static_cast<std::uint32_t>(j))));
-          for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            word acc[16] = {};
-            word prod[16];
-            bool any = false;
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const word* a = &vals[static_cast<std::size_t>(j1)]
-                                   [static_cast<std::size_t>(i) * wpv +
-                                    blk * L];
-              if (bs.is_zero(a)) continue;
-              const word* b = &vals[static_cast<std::size_t>(j - j1)]
-                                   [static_cast<std::size_t>(u) * wpv +
-                                    blk * L];
-              if (bs.is_zero(b)) continue;
-              bs.mul(prod, a, b);
-              bs.add_into(acc, prod);
-              any = true;
-            }
-            if (!any) continue;
-            word scaled[16];
-            bs.mul_matrix(scaled, sig, acc);
-            bs.add_into(&out[static_cast<std::size_t>(i) * wpv + blk * L],
-                        scaled);
+      fold.level(j, 1, nblocks, 0, L);
+      gf::detail_bs::dispatch_width(L, [&](auto lc) {
+        constexpr int LC = decltype(lc)::value;
+        for (graph::VertexId i = 0; i < n; ++i) {
+          const std::size_t row = static_cast<std::size_t>(i) * wpv;
+          if (!fold.vertex<LC>([&](int j1) {
+                return vals[static_cast<std::size_t>(j1)].data() + row;
+              }))
+            continue;
+          for (graph::VertexId u : g.neighbors(i)) {
+            const BS::Matrix sig =
+                bs.matrix(static_cast<BS::value_type>(sigma_coeff(
+                    f, opt.seed, round, i, u, static_cast<std::uint32_t>(j))));
+            fold.neighbour<LC>(sig, [&](int j2) {
+              return vals[static_cast<std::size_t>(j2)].data() +
+                     static_cast<std::size_t>(u) * wpv;
+            });
           }
+          fold.finish<LC>(bs, out.data() + row);
         }
-      }
+      });
     }
     V total = f.zero();
-    const auto& top = vals[static_cast<std::size_t>(k)];
-    for (std::size_t blk = 0; blk < nblocks; ++blk) {
-      word sum[16] = {};
-      for (graph::VertexId i = 0; i < n; ++i)
-        bs.add_into(sum, &top[static_cast<std::size_t>(i) * wpv + blk * L]);
-      total = f.add(total, static_cast<V>(bs.fold_xor(sum)));
-      res.iterations += static_cast<std::uint64_t>(lanes_of(blk));
-    }
+    for (std::size_t blk = 0; blk < nblocks; ++blk)
+      total = f.add(total, static_cast<V>(gf::fold_xor_rows(
+                               bs, vals[static_cast<std::size_t>(k)],
+                               blk * L, n, wpv)));
+    res.iterations += iters;
     ++res.rounds_run;
     res.round_totals.push_back(static_cast<std::uint64_t>(total));
     if (total != f.zero()) {

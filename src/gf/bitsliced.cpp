@@ -14,6 +14,9 @@ BitslicedGF::BitslicedGF(int l, std::uint32_t modulus) : l_(l), poly_(modulus) {
     throw std::invalid_argument(
         "BitslicedGF: modulus must have degree exactly l");
   low_ = poly_ ^ (1u << l_);
+  for (int t = 0; t < l_; ++t)
+    tap_[static_cast<std::size_t>(t)] =
+        word{0} - static_cast<word>((low_ >> t) & 1u);
 }
 
 }  // namespace midas::gf

@@ -25,7 +25,9 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "gf/field.hpp"
 #include "gf/polynomials.hpp"
@@ -127,21 +129,9 @@ class BitslicedGF {
     for (int p = 0; p < l_; ++p) x[p] = 0;
   }
 
-  [[nodiscard]] bool is_zero(const word* x) const noexcept {
-    word any = 0;
-    for (int p = 0; p < l_; ++p) any |= x[p];
-    return any == 0;
-  }
-
   /// dst ^= src, lane-wise field addition of whole blocks.
   void add_into(word* dst, const word* src) const noexcept {
     for (int p = 0; p < l_; ++p) dst[p] ^= src[p];
-  }
-
-  /// dst ^= src with only the lanes of `lane_mask` contributing.
-  void masked_add_into(word* dst, const word* src,
-                       word lane_mask) const noexcept {
-    for (int p = 0; p < l_; ++p) dst[p] ^= src[p] & lane_mask;
   }
 
   /// dst = the scalar c in every lane of `lane_mask`, zero elsewhere.
@@ -150,15 +140,11 @@ class BitslicedGF {
       dst[p] = ((c >> p) & 1u) ? lane_mask : 0;
   }
 
-  /// Zero every lane outside `lane_mask`.
-  void mask_block(word* x, word lane_mask) const noexcept {
-    for (int p = 0; p < l_; ++p) x[p] &= lane_mask;
-  }
-
   // --- multiplication ---------------------------------------------------
 
   /// The multiply-by-constant matrix of c: row[p] = c * x^p. Built with l
-  /// xtime (shift/conditional-XOR) steps; apply with mul_matrix.
+  /// branch-free xtime (shift/masked-XOR) steps, since kernels build one
+  /// per edge from random constants; apply with mul_matrix.
   struct Matrix {
     std::array<value_type, 16> row;
   };
@@ -169,7 +155,7 @@ class BitslicedGF {
     for (int p = 0; p < l_; ++p) {
       m.row[static_cast<std::size_t>(p)] = static_cast<value_type>(x);
       x <<= 1;
-      if (x & (1u << l_)) x ^= poly_;
+      x ^= poly_ & (0u - ((x >> l_) & 1u));
     }
     return m;
   }
@@ -300,8 +286,10 @@ class BitslicedGF {
   // Same semantics as the runtime-width methods above, with the plane count
   // as a template parameter so the inner loops fully unroll and vectorize
   // (the runtime-bound loops keep the accumulator in stack memory and defeat
-  // SIMD). Hot kernels dispatch on words() once per run via
-  // detail_bs::dispatch_width and use these in the per-block loops.
+  // SIMD). Every kernel's level fold dispatches on words() once per level
+  // via detail_bs::dispatch_width and uses only these in its block loops;
+  // the runtime-width methods are the reference the tests check them
+  // against.
 
   template <int L>
   static void clear_w(word* x) noexcept {
@@ -323,11 +311,12 @@ class BitslicedGF {
     for (int p = 0; p < L; ++p) x[p] &= lane_mask;
   }
 
-  /// dst = (M * src) & lane_mask, branch-free: every (p, q) pair contributes
-  /// src[p] under an all-ones/all-zeros mask derived from bit q of row[p].
+  /// dst = M * src (dst may alias src), branch-free: every (p, q) pair
+  /// contributes src[p] under an all-ones/all-zeros mask derived from bit q
+  /// of row[p].
   template <int L>
-  static void mul_matrix_masked_w(word* dst, const Matrix& m, const word* src,
-                                  word lane_mask) noexcept {
+  static void mul_matrix_w(word* dst, const Matrix& m,
+                           const word* src) noexcept {
     word out[L] = {};
     for (int p = 0; p < L; ++p) {
       const word s = src[p];
@@ -335,7 +324,15 @@ class BitslicedGF {
       for (int q = 0; q < L; ++q)
         out[q] ^= s & (word{0} - static_cast<word>((r >> q) & 1u));
     }
-    for (int q = 0; q < L; ++q) dst[q] = out[q] & lane_mask;
+    for (int q = 0; q < L; ++q) dst[q] = out[q];
+  }
+
+  /// dst = (M * src) & lane_mask (dst may alias src).
+  template <int L>
+  static void mul_matrix_masked_w(word* dst, const Matrix& m, const word* src,
+                                  word lane_mask) noexcept {
+    mul_matrix_w<L>(dst, m, src);
+    mask_block_w<L>(dst, lane_mask);
   }
 
   template <int L>
@@ -345,8 +342,9 @@ class BitslicedGF {
     return any == 0;
   }
 
-  /// Fixed-width lane-wise multiply: the branch-free plane convolution
-  /// vectorizes; only the sparse modulus reduction keeps a bit loop.
+  /// Fixed-width lane-wise multiply, branch-free throughout: the plane
+  /// convolution and the modulus reduction (each high plane folds into the
+  /// L planes below it under the modulus tap masks) both vectorize.
   template <int L>
   void mul_w(word* dst, const word* a, const word* b) const noexcept {
     word tmp[2 * L - 1] = {};
@@ -356,12 +354,7 @@ class BitslicedGF {
     }
     for (int s = 2 * L - 2; s >= L; --s) {
       const word x = tmp[s];
-      if (x == 0) continue;
-      std::uint32_t r = low_;
-      while (r != 0) {
-        tmp[s - L + std::countr_zero(r)] ^= x;
-        r &= r - 1;
-      }
+      for (int t = 0; t < L; ++t) tmp[s - L + t] ^= x & tap_[t];
     }
     for (int p = 0; p < L; ++p) dst[p] = tmp[p];
   }
@@ -407,6 +400,25 @@ class BitslicedGF {
   int l_;
   std::uint32_t poly_;  // modulus with the leading bit included
   std::uint32_t low_;   // modulus minus the leading term
+  std::array<word, 16> tap_{};  // tap_[t] = all-ones iff bit t of low_ is set
 };
+
+/// The bit-sliced accumulate at fixed width: the XOR, over the lanes of
+/// `lane_mask`, of `count` blocks `stride` words apart starting at word
+/// `offset` of `planes` (one block per vertex).
+inline BitslicedGF::value_type fold_xor_rows(
+    const BitslicedGF& bs, const std::vector<BitslicedGF::word>& planes,
+    std::size_t offset, std::size_t count, std::size_t stride,
+    BitslicedGF::word lane_mask = ~BitslicedGF::word{0}) {
+  using BS = BitslicedGF;
+  return detail_bs::dispatch_width(bs.words(), [&](auto lc) {
+    constexpr int LC = decltype(lc)::value;
+    BS::word sum[LC] = {};
+    for (std::size_t i = 0; i < count; ++i)
+      BS::add_into_w<LC>(sum, planes.data() + offset + i * stride);
+    BS::mask_block_w<LC>(sum, lane_mask);
+    return BS::fold_xor_w<LC>(sum);
+  });
+}
 
 }  // namespace midas::gf

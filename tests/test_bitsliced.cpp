@@ -20,6 +20,7 @@
 
 #include "core/detect_par.hpp"
 #include "core/detect_seq.hpp"
+#include "core/motif.hpp"
 #include "gf/bitsliced.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf64.hpp"
@@ -149,6 +150,49 @@ TEST_P(BitslicedVsGFSmall, BroadcastAndFoldMatchScalarSum) {
   }
   EXPECT_EQ(bs.fold_xor(x.data()), all);
   EXPECT_EQ(bs.fold_xor(x.data(), m2), some);
+}
+
+// The fixed-width forms the kernels run must equal the runtime-width
+// reference methods at every width dispatch_width lifts.
+TEST_P(BitslicedVsGFSmall, FixedWidthFormsMatchRuntimeReference) {
+  const int l = GetParam();
+  GFSmall f(l);
+  BitslicedGF bs(f);
+  Xoshiro256 rng(43u + static_cast<std::uint64_t>(l));
+  const auto L = static_cast<std::size_t>(bs.words());
+  detail_bs::dispatch_width(l, [&](auto lc) {
+    constexpr int LC = decltype(lc)::value;
+    ASSERT_EQ(static_cast<std::size_t>(LC), L);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<word> a(L), b(L), want(L), got(L);
+      (void)random_block(f, bs, a.data(), rng);
+      (void)random_block(f, bs, b.data(), rng);
+      bs.mul(want.data(), a.data(), b.data());
+      bs.mul_w<LC>(got.data(), a.data(), b.data());
+      EXPECT_EQ(got, want) << "mul_w l=" << l;
+
+      const auto m = bs.matrix(static_cast<value_type>(rng.below(f.order())));
+      bs.mul_matrix(want.data(), m, a.data());
+      BitslicedGF::mul_matrix_w<LC>(got.data(), m, a.data());
+      EXPECT_EQ(got, want) << "mul_matrix_w l=" << l;
+      const word lanes = rng();
+      BitslicedGF::mul_matrix_masked_w<LC>(got.data(), m, a.data(), lanes);
+      for (std::size_t p = 0; p < L; ++p)
+        EXPECT_EQ(got[p], want[p] & lanes) << "masked l=" << l;
+
+      // fold_xor_rows over three blocks two words apart equals the
+      // runtime add_into + masked fold_xor.
+      std::vector<word> rows(3 * (L + 2));
+      std::vector<word> sum(L, 0);
+      for (std::size_t r = 0; r < 3; ++r) {
+        (void)random_block(f, bs, &rows[r * (L + 2)], rng);
+        bs.add_into(sum.data(), &rows[r * (L + 2)]);
+      }
+      EXPECT_EQ(fold_xor_rows(bs, rows, 0, 3, L + 2, lanes),
+                bs.fold_xor(sum.data(), lanes))
+          << "fold_xor_rows l=" << l;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitslicedVsGFSmall,
@@ -693,6 +737,136 @@ TEST(PlaneHalo, MotifKernelsShipIdenticalPlaneNativeBytes) {
                                                   halo_opts(kernel, n1, n2),
                                                   f));
                     });
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-width, neighbour-first folds: every width, sparse rows
+// ---------------------------------------------------------------------------
+
+/// Calls fn(l, GFSmall(l)) for every width the bit-sliced kernels lift to a
+/// compile-time constant (gf::detail_bs::dispatch_width's 15 bodies).
+template <typename Fn>
+void at_every_width(Fn&& fn) {
+  for (int l = 2; l <= 16; ++l) fn(l, gf::GFSmall(l));
+}
+
+constexpr int kFoldK = 6;  // 64 iterations: N2 = 36 leaves base 36 unaligned
+
+/// Scalar and bit-sliced runs of one distributed engine must agree on the
+/// answer, clocks, messages and halo bytes at every width and at N2 in
+/// {8, 36, 64} (whole blocks, an unaligned phase base, one full block).
+template <typename RunFn>
+void check_kernels_every_width(const char* engine, RunFn&& run) {
+  at_every_width([&](int l, const gf::GFSmall& f) {
+    for (const std::uint32_t n2 : {8u, 36u, 64u}) {
+      const std::string tag = std::string(engine) +
+                              " l=" + std::to_string(l) +
+                              " N2=" + std::to_string(n2);
+      const HaloRun scalar = run(f, Kernel::kScalar, n2);
+      const HaloRun sliced = run(f, Kernel::kBitsliced, n2);
+      EXPECT_EQ(sliced.answer, scalar.answer) << tag;
+      EXPECT_EQ(sliced.vclocks, scalar.vclocks) << tag;
+      EXPECT_EQ(sliced.stats.messages_sent, scalar.stats.messages_sent)
+          << tag;
+      EXPECT_EQ(sliced.stats.bytes_sent, scalar.stats.bytes_sent) << tag;
+    }
+  });
+}
+
+MidasOptions fold_opts(Kernel kernel, std::uint32_t n2) {
+  MidasOptions o = par_opts(kFoldK, 4, 2, n2, kernel, 31);
+  o.max_rounds = 2;
+  o.early_exit = false;
+  return o;
+}
+
+/// Colors over a palette of 3 where the motif uses only colors 0 and 1:
+/// every vertex of color 2 has shade mask 0, so its leaf and every layer
+/// above it are zero and the fold's zero-row skips run.
+struct InertColorMotif {
+  std::vector<std::uint32_t> colors;
+  std::vector<std::uint32_t> motif;
+};
+
+InertColorMotif inert_color_motif(graph::VertexId n, int k,
+                                  std::uint64_t seed) {
+  InertColorMotif m{fixtures::draw_colors(n, 3, seed), {}};
+  for (int s = 0; s < k; ++s)
+    m.motif.push_back(static_cast<std::uint32_t>(s % 2));
+  return m;
+}
+
+/// Scan weights that are all zero except one vertex's: the weight axis is
+/// mostly empty rows.
+std::vector<std::uint32_t> one_heavy_vertex(graph::VertexId n,
+                                            graph::VertexId heavy) {
+  std::vector<std::uint32_t> w(n, 0);
+  w[heavy] = 3;
+  return w;
+}
+
+TEST(NeighbourFold, DistributedMotifKernelsAgreeAtEveryWidth) {
+  const Graph g = fixtures::gnp(16, 0.3, 5151);
+  const auto m = inert_color_motif(g.num_vertices(), kFoldK, 52);
+  ASSERT_NE(std::count(m.colors.begin(), m.colors.end(), 2u), 0);
+  const auto part = partition::multilevel_partition(g, 2);
+  check_kernels_every_width(
+      "motif", [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+        return halo_run(
+            midas_motif(g, part, m.colors, m.motif, fold_opts(kernel, n2), f));
+      });
+}
+
+TEST(NeighbourFold, DistributedScanKernelsAgreeAtEveryWidth) {
+  const Graph g = fixtures::gnp(12, 0.35, 5353);
+  std::vector<std::uint32_t> dense(g.num_vertices());
+  Xoshiro256 rng(54);
+  for (auto& x : dense) x = static_cast<std::uint32_t>(rng.below(3));
+  auto sparse = one_heavy_vertex(g.num_vertices(), 5);
+  const auto part = partition::multilevel_partition(g, 2);
+  for (const auto* w : {&dense, &sparse})
+    check_kernels_every_width(
+        w == &dense ? "scan" : "scan-one-heavy",
+        [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+          return halo_run(midas_scan(g, part, *w, fold_opts(kernel, n2), f));
+        });
+}
+
+TEST(NeighbourFold, SequentialMotifRoundTotalsMatchScalarAtEveryWidth) {
+  const Graph g = fixtures::gnp(16, 0.3, 5555);
+  // k = 7: 128 iterations, so the sequential detector folds two blocks.
+  const auto m = inert_color_motif(g.num_vertices(), 7, 56);
+  at_every_width([&](int l, const gf::GFSmall& f) {
+    const auto scalar = detect_motif_seq(
+        g, m.colors, m.motif, seq_opts(7, Kernel::kScalar, 60 + l), f);
+    const auto sliced = detect_motif_seq(
+        g, m.colors, m.motif, seq_opts(7, Kernel::kBitsliced, 60 + l), f);
+    EXPECT_EQ(sliced.round_totals, scalar.round_totals) << "l=" << l;
+    EXPECT_EQ(sliced.found_round, scalar.found_round) << "l=" << l;
+    EXPECT_EQ(sliced.iterations, scalar.iterations) << "l=" << l;
+  });
+}
+
+TEST(NeighbourFold, SequentialScanTablesMatchScalarAtEveryWidth) {
+  const Graph g = fixtures::gnp(12, 0.35, 5757);
+  std::vector<std::uint32_t> dense(g.num_vertices());
+  Xoshiro256 rng(58);
+  for (auto& x : dense) x = static_cast<std::uint32_t>(rng.below(3));
+  auto sparse = one_heavy_vertex(g.num_vertices(), 3);
+  at_every_width([&](int l, const gf::GFSmall& f) {
+    for (const auto* w : {&dense, &sparse}) {
+      ScanOptions o;
+      o.k = 7;  // 128 iterations: two 64-lane blocks per round
+      o.seed = 700 + static_cast<std::uint64_t>(l);
+      o.max_rounds = 1;  // one round's table is that round's non-zero cells
+      o.kernel = Kernel::kScalar;
+      const auto scalar = detect_scan_seq(g, *w, o, f);
+      o.kernel = Kernel::kBitsliced;
+      const auto sliced = detect_scan_seq(g, *w, o, f);
+      EXPECT_EQ(sliced.feasible, scalar.feasible)
+          << "l=" << l << (w == &dense ? " dense" : " one-heavy");
+    }
+  });
 }
 
 }  // namespace
