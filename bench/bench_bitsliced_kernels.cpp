@@ -284,14 +284,15 @@ int main(int argc, char** argv) {
   for (auto& w : weights) w = static_cast<std::uint32_t>(rng.below(5));
   const std::vector<std::uint32_t> motif{0, 0, 1, 1, 2, 2};
   const gf::GF256 f;
+  // N2 = 16 is the service default: one 16-lane block per phase.
   std::vector<DistRow> dist;
-  for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
+  for (const std::uint32_t n2 : {16u, 32u, 64u, 256u, 1024u})
     dist.push_back(run_dist("midas_kpath", 8, n2, seed, reps,
                             [&](const core::MidasOptions& o) {
                               return dist_run(
                                   core::midas_kpath_views(views, o, f));
                             }));
-  for (const std::uint32_t n2 : {32u, 64u, 256u, 1024u})
+  for (const std::uint32_t n2 : {16u, 32u, 64u, 256u, 1024u})
     dist.push_back(run_dist("midas_motif", 6, n2, seed, reps,
                             [&](const core::MidasOptions& o) {
                               return dist_run(core::midas_motif_views(

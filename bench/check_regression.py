@@ -11,9 +11,10 @@ three gates:
   2. relative: every (field, k) row present in the committed baseline
      BENCH_kernels.json must keep bit_exact == true;
   3. distributed: in the bench's end-to-end engine rows (midas_kpath at
-     k = 8, midas_motif at k = 6 and midas_scan at k = 3; N = 4, N1 = 2,
-     N2 in {32, 64, 256, 1024}), the bit-sliced kernel must not be slower
-     than scalar at any N2 >= 64, and every row must be bit_exact (equal
+     k = 8 and midas_motif at k = 6 with N2 in {16, 32, 64, 256, 1024},
+     midas_scan at k = 3 with N2 in {32, 64, 256, 1024}; N = 4, N1 = 2),
+     the bit-sliced kernel must not be slower than scalar at any N2 >= 16,
+     and every row must be bit_exact (equal
      answers, clocks, messages and halo bytes). Before gating, the check
      proves it can fail: a fixture row with bit-sliced slower than scalar
      must be rejected.
@@ -118,8 +119,9 @@ def validate_baselines(paths) -> int:
 
 
 # Smallest N2 at which a distributed bit-sliced engine must match scalar:
-# below one full 64-lane block the bit-sliced kernel runs underfilled.
-DIST_GATE_MIN_N2 = 64
+# blocks are as wide as the batch (8/16/32/64 lanes), so from N2 = 16, the
+# service default, no block runs underfilled.
+DIST_GATE_MIN_N2 = 16
 
 
 def distributed_failures(rows) -> list:
@@ -138,12 +140,12 @@ def distributed_failures(rows) -> list:
 
 
 def gate_self_test() -> bool:
-    """The distributed gate must reject a bit-sliced-slower row at N2 >= 64
+    """The distributed gate must reject a bit-sliced-slower row at N2 >= 16
     in any engine and accept rows where it is faster (or slower only below
-    N2 = 64)."""
-    slow = [{"engine": "midas_motif", "n2": 64, "scalar_ms": 10.0,
+    N2 = 16)."""
+    slow = [{"engine": "midas_motif", "n2": 16, "scalar_ms": 10.0,
              "bitsliced_ms": 12.0, "bit_exact": True}]
-    fine = [{"engine": "midas_kpath", "n2": 32, "scalar_ms": 10.0,
+    fine = [{"engine": "midas_kpath", "n2": 8, "scalar_ms": 10.0,
              "bitsliced_ms": 12.0, "bit_exact": True},
             {"engine": "midas_scan", "n2": 256, "scalar_ms": 10.0,
              "bitsliced_ms": 4.0, "bit_exact": True}]

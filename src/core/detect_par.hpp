@@ -380,7 +380,7 @@ void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
     MIDAS_TRACE_COUNT("halo.bytes", buf.size());
     MIDAS_TRACE_OBSERVE("halo.message_bytes", buf.size());
   }
-  auto recv = comm.alltoallv(send);
+  auto recv = comm.alltoallv(std::move(send));
   for (int t = 0; t < p; ++t) {
     const auto& targets = view.recv_from[static_cast<std::size_t>(t)];
     if (targets.empty()) continue;
@@ -397,12 +397,12 @@ void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
 
 /// A partial block's l planes of `lanes` (< 64) live bits each, packed
 /// back to back: plane q starts at bit q * lanes of `bits` (l + 1 words).
-inline void pack_plane_bits(std::uint64_t* bits, const std::uint64_t* planes,
-                            int l, int lanes) {
-  const std::uint64_t mask = (std::uint64_t{1} << lanes) - 1;
+template <gf::detail_bs::PlaneWord W>
+void pack_plane_bits(std::uint64_t* bits, const W* planes, int l, int lanes) {
+  const std::uint64_t mask = gf::detail_bs::low_lanes(lanes);
   std::fill(bits, bits + l + 1, std::uint64_t{0});
   for (int q = 0; q < l; ++q) {
-    const std::uint64_t w = planes[q] & mask;
+    const std::uint64_t w = static_cast<std::uint64_t>(planes[q]) & mask;
     const int word = q * lanes / 64;
     const int sh = q * lanes % 64;
     bits[word] |= w << sh;
@@ -411,39 +411,45 @@ inline void pack_plane_bits(std::uint64_t* bits, const std::uint64_t* planes,
 }
 
 /// Inverse of pack_plane_bits.
-inline void unpack_plane_bits(std::uint64_t* planes, const std::uint64_t* bits,
-                              int l, int lanes) {
-  const std::uint64_t mask = (std::uint64_t{1} << lanes) - 1;
+template <gf::detail_bs::PlaneWord W>
+void unpack_plane_bits(W* planes, const std::uint64_t* bits, int l,
+                       int lanes) {
+  const std::uint64_t mask = gf::detail_bs::low_lanes(lanes);
   for (int q = 0; q < l; ++q) {
     const int word = q * lanes / 64;
     const int sh = q * lanes % 64;
     std::uint64_t w = bits[word] >> sh;
     if (sh + lanes > 64) w |= bits[word + 1] << (64 - sh);
-    planes[q] = w & mask;
+    planes[q] = static_cast<W>(w & mask);
   }
 }
 
 /// Plane-native halo: the wire format of every engine that has a bit-sliced
 /// kernel, under both kernels (docs/ALGORITHM.md section 6). A vertex's
 /// halo value is `units` rows of `batch` lanes; for each row and each
-/// 64-lane block of it, the message carries the block's l bit-planes, each
-/// cut to its `lanes` live bits and packed back to back, the block padded
-/// to a whole byte: ceil(l * lanes / 8) bytes, which is ceil(lanes / 8)
-/// bytes per plane whenever lanes is a multiple of 8. Vertices follow the
-/// view's send/recv lists, as in the value layout. `load(li, u, blk, tmp)`
-/// returns the planes of a local block (in place, or transposed into
-/// `tmp`); `store(gi, u, blk, planes)` writes one ghost block. The message
-/// count is that of halo_exchange and, at l = 8, so is every byte count.
-template <typename Load, typename Store>
+/// 64-lane wire block of it, the message carries the block's l bit-planes,
+/// each cut to its `lanes` live bits and packed back to back, the block
+/// padded to a whole byte: ceil(l * lanes / 8) bytes, which is
+/// ceil(lanes / 8) bytes per plane whenever lanes is a multiple of 8.
+/// Vertices follow the view's send/recv lists, as in the value layout.
+/// In memory a block has W planes (gf::detail_bs::dispatch_block): a narrow
+/// W only ever holds a whole batch, so memory and wire blocks coincide, and
+/// a block whose lanes fill its word is its own payload, copied with one
+/// memcpy; only partial words are packed. `load(li, u, blk, tmp)` returns
+/// the planes of a local block (in place, or transposed into `tmp`);
+/// `store(gi, u, blk, planes)` writes one ghost block. The message count is
+/// that of halo_exchange and, at l = 8, so is every byte count.
+template <gf::detail_bs::PlaneWord W, typename Load, typename Store>
 void halo_exchange_planes(runtime::Comm& comm,
                           const partition::PartView& view, int l,
                           std::size_t units, std::size_t batch, Load&& load,
                           Store&& store) {
-  using word = gf::BitslicedGF::word;
-  constexpr int kLanes = gf::BitslicedGF::kLanes;
+  constexpr int kLanes = gf::detail_bs::kLanesOf<W>;
   static_assert(std::endian::native == std::endian::little,
                 "plane words are serialized by memcpy as little-endian");
   MIDAS_TRACE_SPAN("engine.halo_exchange");
+  MIDAS_ASSERT(kLanes == gf::BitslicedGF::kLanes || batch <= kLanes,
+               "a narrow plane word must hold the whole batch");
   const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
   auto lanes_of = [&](std::size_t blk) {
     return static_cast<int>(std::min<std::size_t>(kLanes,
@@ -457,8 +463,8 @@ void halo_exchange_planes(runtime::Comm& comm,
     vertex_bytes += block_bytes(blk);
   vertex_bytes *= units;
 
-  word tmp[16];   // one block's planes
-  word bits[17];  // a partial block's packed planes, plus a spill word
+  W tmp[16];               // one block's planes
+  std::uint64_t bits[17];  // a partial block's packed planes, plus a spill
   const int p = comm.size();
   std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(p));
   for (int t = 0; t < p; ++t) {
@@ -470,7 +476,7 @@ void halo_exchange_planes(runtime::Comm& comm,
     for (std::uint32_t li : list)
       for (std::size_t u = 0; u < units; ++u)
         for (std::size_t blk = 0; blk < nblocks; ++blk) {
-          const word* planes = load(li, u, blk, tmp);
+          const W* planes = load(li, u, blk, tmp);
           const int lanes = lanes_of(blk);
           const std::size_t nb = block_bytes(blk);
           if (lanes == kLanes) {
@@ -485,7 +491,7 @@ void halo_exchange_planes(runtime::Comm& comm,
     MIDAS_TRACE_COUNT("halo.bytes", buf.size());
     MIDAS_TRACE_OBSERVE("halo.message_bytes", buf.size());
   }
-  auto recv = comm.alltoallv(send);
+  auto recv = comm.alltoallv(std::move(send));
   for (int t = 0; t < p; ++t) {
     const auto& targets = view.recv_from[static_cast<std::size_t>(t)];
     if (targets.empty()) continue;
@@ -501,11 +507,11 @@ void halo_exchange_planes(runtime::Comm& comm,
           if (lanes == kLanes) {
             std::memcpy(tmp, in, nb);
           } else {
-            std::fill(bits, bits + l + 1, word{0});
+            std::fill(bits, bits + l + 1, std::uint64_t{0});
             std::memcpy(bits, in, nb);
             unpack_plane_bits(tmp, bits, l, lanes);
           }
-          store(gi, u, blk, static_cast<const word*>(tmp));
+          store(gi, u, blk, static_cast<const W*>(tmp));
           in += nb;
         }
   }
@@ -513,22 +519,21 @@ void halo_exchange_planes(runtime::Comm& comm,
 
 /// Bit-sliced kernels: local and ghost planes in the (vertex, row, block,
 /// plane) layout travel as they are, with no transpose.
-inline void halo_exchange_planes(
-    runtime::Comm& comm, const partition::PartView& view,
-    const gf::BitslicedGF& bs, std::size_t units, std::size_t batch,
-    const std::vector<gf::BitslicedGF::word>& local,
-    std::vector<gf::BitslicedGF::word>& ghost) {
-  using word = gf::BitslicedGF::word;
+template <gf::detail_bs::PlaneWord W>
+void halo_exchange_planes(runtime::Comm& comm,
+                          const partition::PartView& view,
+                          const gf::BitslicedGF& bs, std::size_t units,
+                          std::size_t batch, const std::vector<W>& local,
+                          std::vector<W>& ghost) {
+  constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
   const auto L = static_cast<std::size_t>(bs.words());
-  const std::size_t wpv =
-      (batch + gf::BitslicedGF::kLanes - 1) / gf::BitslicedGF::kLanes * L;
-  halo_exchange_planes(
+  const std::size_t wpv = (batch + kLanes - 1) / kLanes * L;
+  halo_exchange_planes<W>(
       comm, view, bs.words(), units, batch,
-      [&](std::uint32_t li, std::size_t u, std::size_t blk, word*) {
+      [&](std::uint32_t li, std::size_t u, std::size_t blk, W*) {
         return &local[(li * units + u) * wpv + blk * L];
       },
-      [&](std::uint32_t gi, std::size_t u, std::size_t blk,
-          const word* planes) {
+      [&](std::uint32_t gi, std::size_t u, std::size_t blk, const W* planes) {
         std::copy(planes, planes + L,
                   &ghost[(gi * units + u) * wpv + blk * L]);
       });
@@ -551,7 +556,7 @@ void halo_exchange_scalar(runtime::Comm& comm,
     auto lanes_of = [&](std::size_t blk) {
       return static_cast<int>(std::min(kLanes, batch - blk * kLanes));
     };
-    halo_exchange_planes(
+    halo_exchange_planes<word>(
         comm, view, bs.words(), units, batch,
         [&](std::uint32_t li, std::size_t u, std::size_t blk, word* tmp) {
           bs.pack_lanes(tmp, &local[(li * units + u) * batch + blk * kLanes],
@@ -679,7 +684,8 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
     // charge_* call mirroring the scalar kernel, clocks, messages,
     // snapshots, and the failover protocol are identical across kernels.
     std::optional<gf::BitslicedGF> bse;
-    std::vector<std::uint64_t> bcur, bnext, bghost, blive;
+    gf::detail_bs::PerWord<gf::detail_bs::Planes> bcur_w, bnext_w, bghost_w,
+        blive_w;
     std::vector<gf::BitslicedGF::Matrix> mats;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
@@ -771,23 +777,16 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    // The same phase, bit-sliced: ceil(batch/64) 64-lane blocks per vertex,
-    // liveness as parity masks, constant scaling as plane matrices. Generic
-    // lambda so the body only instantiates for Bitsliceable fields.
+    // The same phase, bit-sliced: blocks of W-bit planes per vertex (W the
+    // narrowest of 8/16/32 lanes holding the batch, else ceil(batch/64)
+    // 64-lane blocks), liveness as parity masks, constant scaling as plane
+    // matrices. Generic lambda so the body only instantiates for
+    // Bitsliceable fields.
     auto compute_phase_bs = [&](const auto& bs, std::uint64_t phase,
                                 V& total) {
       using BS = gf::BitslicedGF;
-      using word = BS::word;
-      const int L = bs.words();
       const auto [q0, q1] = sched.phase_range(phase);
       const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-      bcur.assign(static_cast<std::size_t>(nl) * wpv, 0);
-      bnext.assign(static_cast<std::size_t>(nl) * wpv, 0);
-      bghost.assign(static_cast<std::size_t>(ng) * wpv, 0);
-      blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-
       const std::uint64_t adj_bytes =
           view.adj.size() * sizeof(partition::NbrRef) +
           view.adj_offsets.size() * sizeof(std::uint64_t);
@@ -795,46 +794,56 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
           (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
       const std::uint64_t working_set =
           adj_bytes + state_bytes + r.size() * sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-      };
 
-      // Base case: one parity mask per (vertex, block), level-1 coefficient
-      // broadcast into the live lanes.
-      for (std::uint32_t li = 0; li < nl; ++li)
-        for (std::size_t blk = 0; blk < nblocks; ++blk) {
-          const word m =
-              BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-          blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
-          bs.broadcast(&bcur[static_cast<std::size_t>(li) * wpv + blk * L],
-                       static_cast<BS::value_type>(r[li]), m);
-        }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+      // (plane word, plane count) are compile-time from here.
+      gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
+        using W = typename decltype(wt)::type;
+        constexpr int LC = decltype(lc)::value;
+        constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
+        const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+        const std::size_t wpv = nblocks * LC;
+        auto& bcur = bcur_w.get<W>();
+        auto& bnext = bnext_w.get<W>();
+        auto& bghost = bghost_w.get<W>();
+        auto& blive = blive_w.get<W>();
+        bcur.assign(static_cast<std::size_t>(nl) * wpv, 0);
+        bnext.assign(static_cast<std::size_t>(nl) * wpv, 0);
+        bghost.assign(static_cast<std::size_t>(ng) * wpv, 0);
+        blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
 
-      for (int j = 2; j <= k; ++j) {
-        detail::halo_exchange_planes(group, view, bs, 1, batch, bcur, bghost);
+        // Base case: one parity mask per (vertex, block), level-1
+        // coefficient broadcast into the live lanes.
+        for (std::uint32_t li = 0; li < nl; ++li)
+          for (std::size_t blk = 0; blk < nblocks; ++blk) {
+            const W m = BS::live_mask<W>(
+                v[li], q0 + blk * kLanes,
+                static_cast<int>(std::min(kLanes, batch - blk * kLanes)));
+            blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
+            BS::broadcast_w<LC>(
+                &bcur[static_cast<std::size_t>(li) * wpv + blk * LC],
+                static_cast<BS::value_type>(r[li]), m);
+          }
+        world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
 
-        const BS::Matrix* mj =
-            mats.data() + static_cast<std::size_t>(j - 2) * nl;
-        // Fixed-width fold: the plane count is a compile-time LC from here.
-        gf::detail_bs::dispatch_width(L, [&](auto lc) {
-          constexpr int LC = decltype(lc)::value;
+        for (int j = 2; j <= k; ++j) {
+          detail::halo_exchange_planes(group, view, bs, 1, batch, bcur,
+                                       bghost);
+          const BS::Matrix* mj =
+              mats.data() + static_cast<std::size_t>(j - 2) * nl;
           for (std::uint32_t li = 0; li < nl; ++li) {
             const auto begin = view.adj_offsets[li];
             const auto end = view.adj_offsets[li + 1];
             for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              word* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * LC];
-              const word m =
-                  blive[static_cast<std::size_t>(li) * nblocks + blk];
+              W* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * LC];
+              const W m = blive[static_cast<std::size_t>(li) * nblocks + blk];
               if (m == 0) {
                 BS::clear_w<LC>(out);
                 continue;
               }
-              word acc[LC] = {};
+              W acc[LC] = {};
               for (auto e = begin; e < end; ++e) {
                 const auto ref = view.adj[e];
-                const word* src =
+                const W* src =
                     ref.is_ghost()
                         ? &bghost[static_cast<std::size_t>(ref.index()) * wpv +
                                   blk * LC]
@@ -845,18 +854,18 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
               BS::mul_matrix_masked_w<LC>(out, mj[li], acc, m);
             }
           }
-        });
-        // Charge the same logical work as the scalar kernel: one add per
-        // adjacency entry per lane, one gate/scale per vertex-lane.
-        const std::uint64_t ops =
-            (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        std::swap(bcur, bnext);
-      }
-      for (std::size_t blk = 0; blk < nblocks; ++blk)
-        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
-                                 bs, bcur, blk * L, nl, wpv)));
+          // Charge the same logical work as the scalar kernel: one add per
+          // adjacency entry per lane, one gate/scale per vertex-lane.
+          const std::uint64_t ops =
+              (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
+          world.charge_compute(ops);
+          world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+          std::swap(bcur, bnext);
+        }
+        for (std::size_t blk = 0; blk < nblocks; ++blk)
+          total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
+                                   bcur.data() + blk * LC, nl, wpv)));
+      });
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
@@ -1311,22 +1320,22 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     std::vector<std::uint32_t> v(nl);
     std::vector<std::vector<V>> vals(subs.size());
     std::vector<std::vector<V>> ghost(subs.size());
+    // leafc[s][li]: leaf coefficient of subtemplate s at vertex li, hashed
+    // once per round and shared by every phase (internal subtemplates
+    // leave their slot empty).
+    std::vector<std::vector<V>> leafc(subs.size());
 
     // Bit-sliced state: plane arrays mirror vals/ghost subtemplate by
     // subtemplate; halos are plane-native under both kernels (layout notes
     // in the k-path engine and docs/ALGORITHM.md section 6).
     std::optional<gf::BitslicedGF> bse;
-    std::vector<std::vector<std::uint64_t>> bvals, bgh;
-    std::vector<std::uint64_t> blive;
+    gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bgh_w;
+    gf::detail_bs::PerWord<gf::detail_bs::Planes> blive_w;
     if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        bvals.resize(subs.size());
-        bgh.resize(subs.size());
-      }
+      if (bitsliced) bse.emplace(f);
     }
 
-    auto run_phase_scalar = [&](int round, std::uint64_t phase, V& total) {
+    auto run_phase_scalar = [&](std::uint64_t phase, V& total) {
       const auto [q0, q1] = sched.phase_range(phase);
       const std::size_t batch = q1 - q0;
       const std::uint64_t adj_bytes =
@@ -1343,9 +1352,7 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
         std::uint64_t ops = 0;
         if (sub.child1 < 0) {
           for (std::uint32_t li = 0; li < nl; ++li) {
-            const V coeff =
-                field_coeff(f, opt.seed, round, view.vertices[li],
-                            static_cast<std::uint32_t>(s));
+            const V coeff = leafc[s][li];
             V* row = out.data() + static_cast<std::size_t>(li) * batch;
             for (std::size_t b = 0; b < batch; ++b) {
               const auto q = static_cast<std::uint32_t>(q0 + b);
@@ -1396,72 +1403,70 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     };
 
     // The same phase, bit-sliced: leaves broadcast their coefficient into
-    // the live lanes of each 64-iteration block, internal subtemplates do
-    // a lane-wise multiply of the own chain against the neighbor sum.
-    // Charges and halo bytes mirror the scalar kernel exactly.
-    auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
-                            V& total) {
+    // the live lanes of each block, internal subtemplates do a lane-wise
+    // multiply of the own chain against the neighbor sum. Charges and halo
+    // bytes mirror the scalar kernel exactly.
+    auto run_phase_bs = [&](const auto& bs, std::uint64_t phase, V& total) {
       using BS = gf::BitslicedGF;
-      using word = BS::word;
-      const int L = bs.words();
       const auto [q0, q1] = sched.phase_range(phase);
       const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
       const std::uint64_t adj_bytes =
           view.adj.size() * sizeof(partition::NbrRef) +
           view.adj_offsets.size() * sizeof(std::uint64_t);
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(subs.size()) * nl *
                           batch * sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-      };
 
-      // One parity mask per (vertex, block), shared by every leaf.
-      blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-      for (std::uint32_t li = 0; li < nl; ++li)
-        for (std::size_t blk = 0; blk < nblocks; ++blk)
-          blive[static_cast<std::size_t>(li) * nblocks + blk] =
-              BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
+      gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
+        using W = typename decltype(wt)::type;
+        constexpr int LC = decltype(lc)::value;
+        constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
+        const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+        const std::size_t wpv = nblocks * LC;
+        auto& bvals = bvals_w.get<W>();
+        auto& bgh = bgh_w.get<W>();
+        auto& blive = blive_w.get<W>();
+        bvals.resize(subs.size());
+        bgh.resize(subs.size());
 
-      for (std::size_t s = 0; s < subs.size(); ++s) {
-        const auto& sub = subs[s];
-        auto& out = bvals[s];
-        out.assign(static_cast<std::size_t>(nl) * wpv, 0);
-        std::uint64_t ops = 0;
-        if (sub.child1 < 0) {
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const V coeff =
-                field_coeff(f, opt.seed, round, view.vertices[li],
-                            static_cast<std::uint32_t>(s));
-            for (std::size_t blk = 0; blk < nblocks; ++blk)
-              bs.broadcast(
-                  &out[static_cast<std::size_t>(li) * wpv + blk * L],
-                  static_cast<BS::value_type>(coeff),
-                  blive[static_cast<std::size_t>(li) * nblocks + blk]);
-          }
-          ops = static_cast<std::uint64_t>(nl) * batch;
-        } else {
-          const auto& own = bvals[static_cast<std::size_t>(sub.child1)];
-          const auto& oth = bvals[static_cast<std::size_t>(sub.child2)];
-          const auto& oth_ghost = bgh[static_cast<std::size_t>(sub.child2)];
-          gf::detail_bs::dispatch_width(L, [&](auto lc) {
-            constexpr int LC = decltype(lc)::value;
+        // One parity mask per (vertex, block), shared by every leaf.
+        blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
+        for (std::uint32_t li = 0; li < nl; ++li)
+          for (std::size_t blk = 0; blk < nblocks; ++blk)
+            blive[static_cast<std::size_t>(li) * nblocks + blk] =
+                BS::live_mask<W>(
+                    v[li], q0 + blk * kLanes,
+                    static_cast<int>(std::min(kLanes, batch - blk * kLanes)));
+
+        for (std::size_t s = 0; s < subs.size(); ++s) {
+          const auto& sub = subs[s];
+          auto& out = bvals[s];
+          out.assign(static_cast<std::size_t>(nl) * wpv, 0);
+          std::uint64_t ops = 0;
+          if (sub.child1 < 0) {
+            for (std::uint32_t li = 0; li < nl; ++li)
+              for (std::size_t blk = 0; blk < nblocks; ++blk)
+                BS::broadcast_w<LC>(
+                    &out[static_cast<std::size_t>(li) * wpv + blk * LC],
+                    static_cast<BS::value_type>(leafc[s][li]),
+                    blive[static_cast<std::size_t>(li) * nblocks + blk]);
+            ops = static_cast<std::uint64_t>(nl) * batch;
+          } else {
+            const auto& own = bvals[static_cast<std::size_t>(sub.child1)];
+            const auto& oth = bvals[static_cast<std::size_t>(sub.child2)];
+            const auto& oth_ghost = bgh[static_cast<std::size_t>(sub.child2)];
             for (std::uint32_t li = 0; li < nl; ++li) {
               const auto begin = view.adj_offsets[li];
               const auto end = view.adj_offsets[li + 1];
               for (std::size_t blk = 0; blk < nblocks; ++blk) {
-                word* dst =
-                    &out[static_cast<std::size_t>(li) * wpv + blk * LC];
-                const word* own_blk =
+                W* dst = &out[static_cast<std::size_t>(li) * wpv + blk * LC];
+                const W* own_blk =
                     &own[static_cast<std::size_t>(li) * wpv + blk * LC];
                 if (BS::is_zero_w<LC>(own_blk)) continue;  // product is zero
-                word acc[LC] = {};
+                W acc[LC] = {};
                 for (auto e = begin; e < end; ++e) {
                   const auto ref = view.adj[e];
-                  const word* src =
+                  const W* src =
                       ref.is_ghost()
                           ? &oth_ghost[static_cast<std::size_t>(ref.index()) *
                                            wpv +
@@ -1473,40 +1478,40 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
                 bs.template mul_w<LC>(dst, own_blk, acc);
               }
             }
-          });
-          // Same logical work as the scalar kernel: one add per adjacency
-          // entry per lane plus one multiply per vertex-lane.
-          ops = (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
+            // Same logical work as the scalar kernel: one add per adjacency
+            // entry per lane plus one multiply per vertex-lane.
+            ops = (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
+          }
+          world.charge_compute(ops);
+          world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+          if (needs_exchange[s]) {
+            auto& gbuf = bgh[s];
+            gbuf.assign(static_cast<std::size_t>(ng) * wpv, 0);
+            detail::halo_exchange_planes(group, view, bs, 1, batch, out, gbuf);
+          }
         }
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (needs_exchange[s]) {
-          auto& gbuf = bgh[s];
-          gbuf.assign(static_cast<std::size_t>(ng) * wpv, 0);
-          detail::halo_exchange_planes(group, view, bs, 1, batch, out, gbuf);
-        }
-      }
-      const auto& root = bvals[static_cast<std::size_t>(td.root_id())];
-      for (std::size_t blk = 0; blk < nblocks; ++blk)
-        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
-                                 bs, root, blk * L, nl, wpv)));
+        const auto& root = bvals[static_cast<std::size_t>(td.root_id())];
+        for (std::size_t blk = 0; blk < nblocks; ++blk)
+          total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
+                                   root.data() + blk * LC, nl, wpv)));
+      });
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    auto run_phase = [&](int round, std::uint64_t phase, V& total) {
+    auto run_phase = [&](std::uint64_t phase, V& total) {
       MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
                                  : "engine.phase.scalar",
                        {"phase", static_cast<std::int64_t>(phase)});
       [[maybe_unused]] const double vt0 = world.vclock();
       if constexpr (gf::Bitsliceable<F>) {
         if (bitsliced) {
-          run_phase_bs(*bse, round, phase, total);
+          run_phase_bs(*bse, phase, total);
           MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
                               (world.vclock() - vt0) * 1e9);
           return;
         }
       }
-      run_phase_scalar(round, phase, total);
+      run_phase_scalar(phase, total);
       MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
                           (world.vclock() - vt0) * 1e9);
     };
@@ -1515,10 +1520,17 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
       MIDAS_TRACE_SPAN("engine.round", {"round", round});
       for (std::uint32_t li = 0; li < nl; ++li)
         v[li] = v_vector(opt.seed, round, view.vertices[li], k);
+      for (std::size_t s = 0; s < subs.size(); ++s) {
+        if (subs[s].child1 >= 0) continue;
+        leafc[s].resize(nl);
+        for (std::uint32_t li = 0; li < nl; ++li)
+          leafc[s][li] = field_coeff(f, opt.seed, round, view.vertices[li],
+                                     static_cast<std::uint32_t>(s));
+      }
       V total = f.zero();
       for (std::uint64_t phase = group_color; phase < sched.phases();
            phase += sched.groups())
-        run_phase(round, phase, total);
+        run_phase(phase, total);
       V buf = total;
       world.allreduce<V>(std::span<V>(&buf, 1),
                          [&f](V& a, const V& b) { a = f.add(a, b); });
@@ -1671,17 +1683,16 @@ MidasScanResult midas_scan_views(
         // accum[j][z]: XOR over phases/iterations of sum_i P(i,q,j,z).
         std::vector<V> accum(static_cast<std::size_t>(k + 1) * width);
         std::vector<V> scratch;
+        // c1[li]: base-case coefficient, hashed once per round and shared
+        // by every phase.
+        std::vector<V> c1(nl);
 
         // Bit-sliced state: per-layer plane arrays with the same
         // (vertex, weight) nesting; halos are plane-native under both
         // kernels, one row per weight.
         std::optional<gf::BitslicedGF> bse;
-        std::vector<std::vector<std::uint64_t>> bvals(
-            static_cast<std::size_t>(k) + 1);
-        std::vector<std::vector<std::uint64_t>> bghost(
-            static_cast<std::size_t>(k) + 1);
-        std::vector<std::uint64_t> blive;
-        detail_fold::LayeredFold fold;
+        gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
+        gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
         if constexpr (gf::Bitsliceable<F>) {
           if (bitsliced) bse.emplace(f);
         }
@@ -1707,14 +1718,13 @@ MidasScanResult midas_scan_views(
           auto& base = vals[1];
           for (std::uint32_t li = 0; li < nl; ++li) {
             const graph::VertexId gid = view.vertices[li];
-            const V coeff = field_coeff(f, opt.seed, round, gid, 1);
             V* row = base.data() +
                      (static_cast<std::size_t>(li) * width +
                       weights[gid]) *
                          batch;
             for (std::size_t b = 0; b < batch; ++b) {
               const auto q = static_cast<std::uint32_t>(q0 + b);
-              row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
+              row[b] = inner_product_odd(v[li], q) ? f.zero() : c1[li];
             }
           }
           world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
@@ -1815,64 +1825,65 @@ MidasScanResult midas_scan_views(
         auto run_phase_bs = [&](const auto& bs, int round,
                                 std::uint64_t phase) {
           using BS = gf::BitslicedGF;
-          using word = BS::word;
-          const int L = bs.words();
           const auto [q0, q1] = sched.phase_range(phase);
           const std::size_t batch = q1 - q0;
-          const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-          const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-          const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
-          for (int j = 1; j <= k; ++j) {
-            bvals[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(nl) * wrow, 0);
-            bghost[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(ng) * wrow, 0);
-          }
           const std::uint64_t adj_bytes =
               view.adj.size() * sizeof(partition::NbrRef) +
               view.adj_offsets.size() * sizeof(std::uint64_t);
           const std::uint64_t working_set =
               adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
                               width * batch * sizeof(V);
-          auto lanes_of = [&](std::size_t blk) {
-            return static_cast<int>(
-                std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-          };
-          // Each boundary vertex ships its whole (weight x batch) block,
-          // one plane-native row per weight.
-          auto exchange_layer = [&](int j) {
-            detail::halo_exchange_planes(group, view, bs, width, batch,
-                                         bvals[static_cast<std::size_t>(j)],
-                                         bghost[static_cast<std::size_t>(j)]);
-          };
 
-          // Base case: liveness parity masks, coefficient broadcast at the
-          // vertex's own weight.
-          blive.assign(static_cast<std::size_t>(nl) * nblocks, 0);
-          auto& base = bvals[1];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            const V coeff = field_coeff(f, opt.seed, round, gid, 1);
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              const word m =
-                  BS::live_mask(v[li], q0 + blk * BS::kLanes, lanes_of(blk));
-              blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
-              bs.broadcast(&base[static_cast<std::size_t>(li) * wrow +
-                                 weights[gid] * wpv + blk * L],
-                           static_cast<BS::value_type>(coeff), m);
+          gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
+            using W = typename decltype(wt)::type;
+            constexpr int LC = decltype(lc)::value;
+            constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
+            const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+            const std::size_t wpv = nblocks * LC;
+            const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
+            auto& bvals = bvals_w.get<W>();
+            auto& bghost = bghost_w.get<W>();
+            auto& fold = fold_w.get<W>();
+            bvals.resize(static_cast<std::size_t>(k) + 1);
+            bghost.resize(static_cast<std::size_t>(k) + 1);
+            for (int j = 1; j <= k; ++j) {
+              bvals[static_cast<std::size_t>(j)].assign(
+                  static_cast<std::size_t>(nl) * wrow, 0);
+              bghost[static_cast<std::size_t>(j)].assign(
+                  static_cast<std::size_t>(ng) * wrow, 0);
             }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          exchange_layer(1);
+            // Each boundary vertex ships its whole (weight x batch) block,
+            // one plane-native row per weight.
+            auto exchange_layer = [&](int j) {
+              detail::halo_exchange_planes(
+                  group, view, bs, width, batch,
+                  bvals[static_cast<std::size_t>(j)],
+                  bghost[static_cast<std::size_t>(j)]);
+            };
 
-          for (int j = 2; j <= k; ++j) {
-            auto& out = bvals[static_cast<std::size_t>(j)];
-            fold.level(j, width, nblocks, wpv, L);
-            gf::detail_bs::dispatch_width(L, [&](auto lc) {
-              constexpr int LC = decltype(lc)::value;
+            // Base case: liveness parity masks, coefficient broadcast at
+            // the vertex's own weight.
+            auto& base = bvals[1];
+            for (std::uint32_t li = 0; li < nl; ++li) {
+              const graph::VertexId gid = view.vertices[li];
+              for (std::size_t blk = 0; blk < nblocks; ++blk)
+                BS::broadcast_w<LC>(
+                    &base[static_cast<std::size_t>(li) * wrow +
+                          weights[gid] * wpv + blk * LC],
+                    static_cast<BS::value_type>(c1[li]),
+                    BS::live_mask<W>(v[li], q0 + blk * kLanes,
+                                     static_cast<int>(std::min(
+                                         kLanes, batch - blk * kLanes))));
+            }
+            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+            exchange_layer(1);
+
+            for (int j = 2; j <= k; ++j) {
+              auto& out = bvals[static_cast<std::size_t>(j)];
+              fold.level(j, width, nblocks, wpv, LC);
               for (std::uint32_t li = 0; li < nl; ++li) {
                 const std::size_t row = static_cast<std::size_t>(li) * wrow;
-                if (!fold.vertex<LC>([&](int j1) {
+                if (!fold.template vertex<LC>([&](int j1) {
                       return bvals[static_cast<std::size_t>(j1)].data() + row;
                     }))
                   continue;  // every own block is zero: out stays zero
@@ -1889,48 +1900,44 @@ MidasScanResult midas_scan_views(
                       static_cast<BS::value_type>(sigma_coeff(
                           f, opt.seed, round, gid, u_gid,
                           static_cast<std::uint32_t>(j))));
-                  fold.neighbour<LC>(sig, [&](int j2) {
+                  fold.template neighbour<LC>(sig, [&](int j2) {
                     const auto& layer =
                         is_ghost ? bghost[static_cast<std::size_t>(j2)]
                                  : bvals[static_cast<std::size_t>(j2)];
                     return layer.data() + static_cast<std::size_t>(idx) * wrow;
                   });
                 }
-                fold.finish<LC>(bs, out.data() + row);
+                fold.template finish<LC>(bs, out.data() + row);
               }
-            });
-            // Same logical work as the scalar kernel's (edge, j1, z, z1)
-            // sweep, in closed form.
-            const std::uint64_t ops =
-                view.adj.size() * static_cast<std::uint64_t>(j - 1) *
-                (static_cast<std::uint64_t>(width) * (width + 1) / 2) *
-                batch;
-            world.charge_compute(ops);
-            world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-            if (j < k) exchange_layer(j);
-          }
-          // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
-          for (int j = 1; j <= k; ++j) {
-            const std::uint64_t jlimit = std::uint64_t{1} << j;
-            if (q0 >= jlimit) continue;
-            const std::size_t bmax =
-                std::min<std::uint64_t>(batch, jlimit - q0);
-            const auto& layer = bvals[static_cast<std::size_t>(j)];
-            V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-            for (std::uint32_t z = 0; z < width; ++z)
-              for (std::size_t blk = 0; blk < nblocks; ++blk) {
-                if (blk * BS::kLanes >= bmax) break;
-                const std::size_t lv =
-                    std::min<std::size_t>(BS::kLanes, bmax - blk * BS::kLanes);
-                const word m = lv >= BS::kLanes
-                                   ? ~word{0}
-                                   : (word{1} << lv) - 1;
-                acc_row[z] = f.add(
-                    acc_row[z],
-                    static_cast<V>(gf::fold_xor_rows(
-                        bs, layer, z * wpv + blk * L, nl, wrow, m)));
-              }
-          }
+              // Same logical work as the scalar kernel's (edge, j1, z, z1)
+              // sweep, in closed form.
+              const std::uint64_t ops =
+                  view.adj.size() * static_cast<std::uint64_t>(j - 1) *
+                  (static_cast<std::uint64_t>(width) * (width + 1) / 2) *
+                  batch;
+              world.charge_compute(ops);
+              world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+              if (j < k) exchange_layer(j);
+            }
+            // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
+            for (int j = 1; j <= k; ++j) {
+              const std::uint64_t jlimit = std::uint64_t{1} << j;
+              if (q0 >= jlimit) continue;
+              const std::size_t bmax =
+                  std::min<std::uint64_t>(batch, jlimit - q0);
+              const auto& layer = bvals[static_cast<std::size_t>(j)];
+              V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
+              for (std::uint32_t z = 0; z < width; ++z)
+                for (std::size_t blk = 0; blk * kLanes < bmax; ++blk) {
+                  const auto m = static_cast<W>(gf::detail_bs::low_lanes(
+                      static_cast<int>(std::min(kLanes, bmax - blk * kLanes))));
+                  acc_row[z] = f.add(
+                      acc_row[z],
+                      static_cast<V>(gf::fold_xor_rows<LC>(
+                          layer.data() + z * wpv + blk * LC, nl, wrow, m)));
+                }
+            }
+          });
           world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
         };
 
@@ -1954,8 +1961,10 @@ MidasScanResult midas_scan_views(
 
         for (int round = start_round; round < opt.rounds(); ++round) {
           MIDAS_TRACE_SPAN("engine.round", {"round", round});
-          for (std::uint32_t li = 0; li < nl; ++li)
+          for (std::uint32_t li = 0; li < nl; ++li) {
             v[li] = v_vector(opt.seed, round, view.vertices[li], k);
+            c1[li] = field_coeff(f, opt.seed, round, view.vertices[li], 1);
+          }
           std::fill(accum.begin(), accum.end(), f.zero());
 
           for (std::uint64_t phase = group_color; phase < sched.phases();
@@ -2118,11 +2127,8 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
     // under both kernels.
     std::optional<gf::BitslicedGF> bse;
     std::vector<gf::BitslicedGF::value_type> us16;
-    std::vector<std::vector<std::uint64_t>> bvals(
-        static_cast<std::size_t>(k) + 1);
-    std::vector<std::vector<std::uint64_t>> bghost(
-        static_cast<std::size_t>(k) + 1);
-    detail_fold::LayeredFold fold;
+    gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
+    gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
     if constexpr (gf::Bitsliceable<F>) {
       if (bitsliced) {
         bse.emplace(f);
@@ -2207,11 +2213,10 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    // The same phase, bit-sliced: leaf blocks come from the shade-plane
-    // construction (aligned fast path, per-lane fallback at unaligned
-    // phase bases). Internal layers fold neighbour-first at fixed width
-    // (core/layered_fold.hpp): per edge, one sigma matrix apply per
-    // non-zero neighbour block into N[j1] = sum_u sigma * b_u[j - j1];
+    // The same phase, bit-sliced: leaf blocks come from the word-parallel
+    // shade-plane construction. Internal layers fold neighbour-first at
+    // fixed width (core/layered_fold.hpp): per edge, one sigma matrix apply
+    // per non-zero neighbour block into N[j1] = sum_u sigma * b_u[j - j1];
     // per vertex, one lane-wise multiply a_v[j1] * N[j1] per j1. The
     // scalar kernel's per-edge sum sigma * sum_j1 a_v[j1] * b_u[j - j1]
     // regroups into exactly this by distributivity, so every field element
@@ -2219,54 +2224,58 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
     auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
                             V& total) {
       using BS = gf::BitslicedGF;
-      const int L = bs.words();
       const auto [q0, q1] = sched.phase_range(phase);
       const std::size_t batch = q1 - q0;
-      const std::size_t nblocks = (batch + BS::kLanes - 1) / BS::kLanes;
-      const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
       const std::uint64_t adj_bytes =
           view.adj.size() * sizeof(partition::NbrRef) +
           view.adj_offsets.size() * sizeof(std::uint64_t);
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * batch *
                           sizeof(V);
-      auto lanes_of = [&](std::size_t blk) {
-        return static_cast<int>(
-            std::min<std::size_t>(BS::kLanes, batch - blk * BS::kLanes));
-      };
-      for (int j = 1; j <= k; ++j) {
-        bvals[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(nl) * wpv, 0);
-        bghost[static_cast<std::size_t>(j)].assign(
-            static_cast<std::size_t>(ng) * wpv, 0);
-      }
-      auto exchange_layer = [&](int j) {
-        detail::halo_exchange_planes(group, view, bs, 1, batch,
-                                     bvals[static_cast<std::size_t>(j)],
-                                     bghost[static_cast<std::size_t>(j)]);
-      };
 
-      auto& base = bvals[1];
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        const std::uint32_t mask = plan.vertex_mask[gid];
-        for (std::size_t blk = 0; blk < nblocks; ++blk)
-          detail_motif::shade_block(
-              bs, &base[static_cast<std::size_t>(li) * wpv + blk * L],
-              us16.data() + static_cast<std::size_t>(li) * k, mask, k,
-              q0 + blk * BS::kLanes, lanes_of(blk));
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      exchange_layer(1);
+      gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
+        using W = typename decltype(wt)::type;
+        constexpr int LC = decltype(lc)::value;
+        constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
+        const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+        const std::size_t wpv = nblocks * LC;
+        auto& bvals = bvals_w.get<W>();
+        auto& bghost = bghost_w.get<W>();
+        auto& fold = fold_w.get<W>();
+        bvals.resize(static_cast<std::size_t>(k) + 1);
+        bghost.resize(static_cast<std::size_t>(k) + 1);
+        for (int j = 1; j <= k; ++j) {
+          bvals[static_cast<std::size_t>(j)].assign(
+              static_cast<std::size_t>(nl) * wpv, 0);
+          bghost[static_cast<std::size_t>(j)].assign(
+              static_cast<std::size_t>(ng) * wpv, 0);
+        }
+        auto exchange_layer = [&](int j) {
+          detail::halo_exchange_planes(group, view, bs, 1, batch,
+                                       bvals[static_cast<std::size_t>(j)],
+                                       bghost[static_cast<std::size_t>(j)]);
+        };
 
-      for (int j = 2; j <= k; ++j) {
-        auto& out = bvals[static_cast<std::size_t>(j)];
-        fold.level(j, 1, nblocks, 0, L);
-        gf::detail_bs::dispatch_width(L, [&](auto lc) {
-          constexpr int LC = decltype(lc)::value;
+        auto& base = bvals[1];
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const graph::VertexId gid = view.vertices[li];
+          const std::uint32_t mask = plan.vertex_mask[gid];
+          for (std::size_t blk = 0; blk < nblocks; ++blk)
+            detail_motif::shade_block(
+                bs, &base[static_cast<std::size_t>(li) * wpv + blk * LC],
+                us16.data() + static_cast<std::size_t>(li) * k, mask, k,
+                q0 + blk * kLanes,
+                static_cast<int>(std::min(kLanes, batch - blk * kLanes)));
+        }
+        world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+        exchange_layer(1);
+
+        for (int j = 2; j <= k; ++j) {
+          auto& out = bvals[static_cast<std::size_t>(j)];
+          fold.level(j, 1, nblocks, 0, LC);
           for (std::uint32_t li = 0; li < nl; ++li) {
             const std::size_t row = static_cast<std::size_t>(li) * wpv;
-            if (!fold.vertex<LC>([&](int j1) {
+            if (!fold.template vertex<LC>([&](int j1) {
                   return bvals[static_cast<std::size_t>(j1)].data() + row;
                 }))
               continue;  // every own block is zero: out stays zero
@@ -2283,28 +2292,28 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
                   static_cast<BS::value_type>(sigma_coeff(
                       f, opt.seed, round, gid, u_gid,
                       static_cast<std::uint32_t>(j))));
-              fold.neighbour<LC>(sig, [&](int j2) {
+              fold.template neighbour<LC>(sig, [&](int j2) {
                 const auto& layer = is_ghost
                                         ? bghost[static_cast<std::size_t>(j2)]
                                         : bvals[static_cast<std::size_t>(j2)];
                 return layer.data() + static_cast<std::size_t>(idx) * wpv;
               });
             }
-            fold.finish<LC>(bs, out.data() + row);
+            fold.template finish<LC>(bs, out.data() + row);
           }
-        });
-        // Same logical work as the scalar kernel's (edge, j1) row sweep,
-        // in closed form.
-        const std::uint64_t ops =
-            view.adj.size() * static_cast<std::uint64_t>(j) * batch;
-        world.charge_compute(ops);
-        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-        if (j < k) exchange_layer(j);
-      }
-      const auto& top = bvals[static_cast<std::size_t>(k)];
-      for (std::size_t blk = 0; blk < nblocks; ++blk)
-        total = f.add(total, static_cast<V>(gf::fold_xor_rows(
-                                 bs, top, blk * L, nl, wpv)));
+          // Same logical work as the scalar kernel's (edge, j1) row sweep,
+          // in closed form.
+          const std::uint64_t ops =
+              view.adj.size() * static_cast<std::uint64_t>(j) * batch;
+          world.charge_compute(ops);
+          world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+          if (j < k) exchange_layer(j);
+        }
+        const auto& top = bvals[static_cast<std::size_t>(k)];
+        for (std::size_t blk = 0; blk < nblocks; ++blk)
+          total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
+                                   top.data() + blk * LC, nl, wpv)));
+      });
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 

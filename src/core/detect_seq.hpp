@@ -165,74 +165,74 @@ DetectResult kpath_bitsliced(const graph::Graph& g, const DetectOptions& opt,
 
   using V = typename F::value_type;
   using BS = gf::BitslicedGF;
-  using word = BS::word;
   const BS bs(f);
-  const int L = bs.words();
   const std::uint64_t iters = std::uint64_t{1} << k;
 
   std::vector<std::uint32_t> v(n);
-  std::vector<word> live(n);
-  // cur/next hold one 64-lane block (L words) per vertex.
-  std::vector<word> cur(static_cast<std::size_t>(n) * L);
-  std::vector<word> next(static_cast<std::size_t>(n) * L);
   std::vector<V> r0(n);  // level-1 coefficients (broadcast into the base case)
   // mats[(j - 2) * n + i]: multiply-by-r_{i,j} matrix for levels 2..k.
   std::vector<BS::Matrix> mats(static_cast<std::size_t>(k - 1) * n);
 
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i) {
-      v[i] = v_vector(opt.seed, round, i, k);
-      r0[i] = field_coeff(f, opt.seed, round, i, 1);
-      for (int j = 2; j <= k; ++j)
-        mats[static_cast<std::size_t>(j - 2) * n + i] = bs.matrix(
-            field_coeff(f, opt.seed, round, i, static_cast<std::uint32_t>(j)));
-    }
-    // Lift the plane count to a compile-time constant so the per-block
-    // loops below unroll and vectorize (see dispatch_width).
-    V total = gf::detail_bs::dispatch_width(L, [&](auto lc) {
-      constexpr int LC = decltype(lc)::value;
-      V tot = f.zero();
-      for (std::uint64_t base = 0; base < iters; base += BS::kLanes) {
-        const int lanes = static_cast<int>(
-            std::min<std::uint64_t>(BS::kLanes, iters - base));
+  // Lift (plane word, plane count) to compile-time constants so the
+  // per-block loops below unroll and vectorize (see dispatch_block); the
+  // word follows the 2^k iterations of a round.
+  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
+    using W = typename decltype(wt)::type;
+    constexpr int LC = decltype(lc)::value;
+    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
+    std::vector<W> live(n);
+    // cur/next hold one block (LC words) per vertex.
+    std::vector<W> cur(static_cast<std::size_t>(n) * LC);
+    std::vector<W> next(static_cast<std::size_t>(n) * LC);
+
+    for (int round = 0; round < opt.rounds(); ++round) {
+      MIDAS_TRACE_SPAN("seq.round", {"round", round});
+      for (graph::VertexId i = 0; i < n; ++i) {
+        v[i] = v_vector(opt.seed, round, i, k);
+        r0[i] = field_coeff(f, opt.seed, round, i, 1);
+        for (int j = 2; j <= k; ++j)
+          mats[static_cast<std::size_t>(j - 2) * n + i] =
+              bs.matrix(field_coeff(f, opt.seed, round, i,
+                                    static_cast<std::uint32_t>(j)));
+      }
+      V total = f.zero();
+      for (std::uint64_t base = 0; base < iters; base += kLanes) {
+        const int lanes =
+            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base));
         for (graph::VertexId i = 0; i < n; ++i) {
-          live[i] = BS::live_mask(v[i], base, lanes);
-          bs.broadcast_w<LC>(&cur[static_cast<std::size_t>(i) * LC], r0[i],
-                             live[i]);
+          live[i] = BS::live_mask<W>(v[i], base, lanes);
+          BS::broadcast_w<LC>(&cur[static_cast<std::size_t>(i) * LC], r0[i],
+                              live[i]);
         }
         for (int j = 2; j <= k; ++j) {
           const BS::Matrix* mj =
               mats.data() + static_cast<std::size_t>(j - 2) * n;
           for (graph::VertexId i = 0; i < n; ++i) {
-            word* out = &next[static_cast<std::size_t>(i) * LC];
+            W* out = &next[static_cast<std::size_t>(i) * LC];
             if (live[i] == 0) {
-              bs.clear_w<LC>(out);
+              BS::clear_w<LC>(out);
               continue;
             }
-            word acc[LC] = {};
+            W acc[LC] = {};
             for (graph::VertexId u : g.neighbors(i))
-              bs.add_into_w<LC>(acc, &cur[static_cast<std::size_t>(u) * LC]);
-            bs.mul_matrix_masked_w<LC>(out, mj[i], acc, live[i]);
+              BS::add_into_w<LC>(acc, &cur[static_cast<std::size_t>(u) * LC]);
+            BS::mul_matrix_masked_w<LC>(out, mj[i], acc, live[i]);
           }
           std::swap(cur, next);
         }
-        word sum[LC] = {};
-        for (graph::VertexId i = 0; i < n; ++i)
-          bs.add_into_w<LC>(sum, &cur[static_cast<std::size_t>(i) * LC]);
-        tot = f.add(tot, static_cast<V>(BS::fold_xor_w<LC>(sum)));
+        total = f.add(total,
+                      static_cast<V>(gf::fold_xor_rows<LC>(cur.data(), n, LC)));
         res.iterations += static_cast<std::uint64_t>(lanes);
       }
-      return tot;
-    });
-    ++res.rounds_run;
-    res.round_totals.push_back(static_cast<std::uint64_t>(total));
-    if (total != f.zero()) {
-      if (!res.found) res.found_round = round;  // first nonzero round wins
-      res.found = true;
-      if (opt.early_exit) return res;
+      ++res.rounds_run;
+      res.round_totals.push_back(static_cast<std::uint64_t>(total));
+      if (total != f.zero()) {
+        if (!res.found) res.found_round = round;  // first nonzero round wins
+        res.found = true;
+        if (opt.early_exit) return;
+      }
     }
-  }
+  });
   return res;
 }
 
@@ -349,81 +349,81 @@ DetectResult ktree_bitsliced(const graph::Graph& g,
 
   using V = typename F::value_type;
   using BS = gf::BitslicedGF;
-  using word = BS::word;
   const BS bs(f);
-  const int L = bs.words();
   const std::uint64_t iters = std::uint64_t{1} << k;
   const auto& subs = td.subtemplates();
 
   std::vector<std::uint32_t> v(n);
-  std::vector<word> live(n);
-  // vals[s]: one 64-lane block per vertex for subtemplate s.
-  std::vector<std::vector<word>> vals(
-      subs.size(), std::vector<word>(static_cast<std::size_t>(n) * L));
   // leafc[s][i]: leaf coefficient (a pure function of round/i/s, hoisted
   // out of the iteration loop; the scalar kernel recomputes it per t).
   std::vector<std::vector<V>> leafc(subs.size());
 
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, k);
-    for (std::size_t s = 0; s < subs.size(); ++s) {
-      if (subs[s].child1 >= 0) continue;
-      leafc[s].resize(n);
+  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
+    using W = typename decltype(wt)::type;
+    constexpr int LC = decltype(lc)::value;
+    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
+    std::vector<W> live(n);
+    // vals[s]: one block per vertex for subtemplate s.
+    std::vector<std::vector<W>> vals(
+        subs.size(), std::vector<W>(static_cast<std::size_t>(n) * LC));
+
+    for (int round = 0; round < opt.rounds(); ++round) {
+      MIDAS_TRACE_SPAN("seq.round", {"round", round});
       for (graph::VertexId i = 0; i < n; ++i)
-        leafc[s][i] = field_coeff(f, opt.seed, round, i,
-                                  static_cast<std::uint32_t>(s));
-    }
-    V total = gf::detail_bs::dispatch_width(L, [&](auto lc) {
-      constexpr int LC = decltype(lc)::value;
-      V tot = f.zero();
-      for (std::uint64_t base = 0; base < iters; base += BS::kLanes) {
-        const int lanes = static_cast<int>(
-            std::min<std::uint64_t>(BS::kLanes, iters - base));
+        v[i] = v_vector(opt.seed, round, i, k);
+      for (std::size_t s = 0; s < subs.size(); ++s) {
+        if (subs[s].child1 >= 0) continue;
+        leafc[s].resize(n);
         for (graph::VertexId i = 0; i < n; ++i)
-          live[i] = BS::live_mask(v[i], base, lanes);
+          leafc[s][i] = field_coeff(f, opt.seed, round, i,
+                                    static_cast<std::uint32_t>(s));
+      }
+      V total = f.zero();
+      for (std::uint64_t base = 0; base < iters; base += kLanes) {
+        const int lanes =
+            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base));
+        for (graph::VertexId i = 0; i < n; ++i)
+          live[i] = BS::live_mask<W>(v[i], base, lanes);
         for (std::size_t s = 0; s < subs.size(); ++s) {
           const auto& sub = subs[s];
           auto& out = vals[s];
           if (sub.child1 < 0) {
             for (graph::VertexId i = 0; i < n; ++i)
-              bs.broadcast_w<LC>(&out[static_cast<std::size_t>(i) * LC],
-                                 leafc[s][i], live[i]);
+              BS::broadcast_w<LC>(&out[static_cast<std::size_t>(i) * LC],
+                                  leafc[s][i], live[i]);
           } else {
             const auto& own = vals[static_cast<std::size_t>(sub.child1)];
             const auto& nbr = vals[static_cast<std::size_t>(sub.child2)];
             for (graph::VertexId i = 0; i < n; ++i) {
-              word* out_i = &out[static_cast<std::size_t>(i) * LC];
-              const word* own_i = &own[static_cast<std::size_t>(i) * LC];
+              W* out_i = &out[static_cast<std::size_t>(i) * LC];
+              const W* own_i = &own[static_cast<std::size_t>(i) * LC];
               if (BS::is_zero_w<LC>(own_i)) {
-                bs.clear_w<LC>(out_i);
+                BS::clear_w<LC>(out_i);
                 continue;
               }
-              word acc[LC] = {};
+              W acc[LC] = {};
               for (graph::VertexId u : g.neighbors(i))
-                bs.add_into_w<LC>(acc, &nbr[static_cast<std::size_t>(u) * LC]);
+                BS::add_into_w<LC>(acc,
+                                   &nbr[static_cast<std::size_t>(u) * LC]);
               bs.mul_w<LC>(out_i, own_i, acc);
             }
           }
         }
-        word sum[LC] = {};
-        const auto& root_vals = vals[static_cast<std::size_t>(td.root_id())];
-        for (graph::VertexId i = 0; i < n; ++i)
-          bs.add_into_w<LC>(sum, &root_vals[static_cast<std::size_t>(i) * LC]);
-        tot = f.add(tot, static_cast<V>(BS::fold_xor_w<LC>(sum)));
+        total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
+                                 vals[static_cast<std::size_t>(td.root_id())]
+                                     .data(),
+                                 n, LC)));
         res.iterations += static_cast<std::uint64_t>(lanes);
       }
-      return tot;
-    });
-    ++res.rounds_run;
-    res.round_totals.push_back(static_cast<std::uint64_t>(total));
-    if (total != f.zero()) {
-      if (!res.found) res.found_round = round;  // first nonzero round wins
-      res.found = true;
-      if (opt.early_exit) return res;
+      ++res.rounds_run;
+      res.round_totals.push_back(static_cast<std::uint64_t>(total));
+      if (total != f.zero()) {
+        if (!res.found) res.found_round = round;  // first nonzero round wins
+        res.found = true;
+        if (opt.early_exit) return;
+      }
     }
-  }
+  });
   return res;
 }
 
@@ -590,91 +590,89 @@ void scan_bitsliced(const graph::Graph& g,
   const graph::VertexId n = g.num_vertices();
   using V = typename F::value_type;
   using BS = gf::BitslicedGF;
-  using word = BS::word;
   const BS bs(f);
-  const int L = bs.words();
   const std::uint64_t iters = std::uint64_t{1} << k;
   const std::uint32_t width = table.max_weight + 1;
   std::vector<std::uint32_t> v(n);
-  std::vector<word> live(n);
   std::vector<V> c1(n);  // base-case coefficients, hoisted per round
-  // vals[j][(z * n + i) * L .. +L): the block of P(i, j, z).
-  std::vector<std::vector<word>> vals(static_cast<std::size_t>(k) + 1);
-  for (int j = 1; j <= k; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(width) * n * L, 0);
   std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
                                     std::vector<V>(width, f.zero()));
-  detail_fold::LayeredFold fold;
 
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i) {
-      v[i] = v_vector(opt.seed, round, i, k);
-      c1[i] = field_coeff(f, opt.seed, round, i, 1);
-    }
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
+  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
+    using W = typename decltype(wt)::type;
+    constexpr int LC = decltype(lc)::value;
+    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
+    // vals[j][(z * n + i) * LC .. +LC): the block of P(i, j, z).
+    std::vector<std::vector<W>> vals(static_cast<std::size_t>(k) + 1);
+    for (int j = 1; j <= k; ++j)
+      vals[static_cast<std::size_t>(j)].assign(
+          static_cast<std::size_t>(width) * n * LC, 0);
+    detail_fold::LayeredFold<W> fold;
 
-    for (std::uint64_t base_t = 0; base_t < iters; base_t += BS::kLanes) {
-      const int lanes = static_cast<int>(
-          std::min<std::uint64_t>(BS::kLanes, iters - base_t));
-      for (graph::VertexId i = 0; i < n; ++i)
-        live[i] = BS::live_mask(v[i], base_t, lanes);
-      auto& base = vals[1];
-      std::fill(base.begin(), base.end(), 0);
-      for (graph::VertexId i = 0; i < n; ++i)
-        bs.broadcast(
-            &base[(static_cast<std::size_t>(weights[i]) * n + i) * L], c1[i],
-            live[i]);
-      // Neighbour-first, fixed-width fold (core/layered_fold.hpp): vertex
-      // i's row in layer j starts at word i * L, weight rows n * L apart.
-      for (int j = 2; j <= k; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::fill(out.begin(), out.end(), 0);
-        fold.level(j, width, 1, static_cast<std::size_t>(n) * L, L);
-        gf::detail_bs::dispatch_width(L, [&](auto lc) {
-          constexpr int LC = decltype(lc)::value;
+    for (int round = 0; round < opt.rounds(); ++round) {
+      MIDAS_TRACE_SPAN("seq.round", {"round", round});
+      for (graph::VertexId i = 0; i < n; ++i) {
+        v[i] = v_vector(opt.seed, round, i, k);
+        c1[i] = field_coeff(f, opt.seed, round, i, 1);
+      }
+      for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
+
+      for (std::uint64_t base_t = 0; base_t < iters; base_t += kLanes) {
+        const int lanes =
+            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base_t));
+        auto& base = vals[1];
+        std::fill(base.begin(), base.end(), W{0});
+        for (graph::VertexId i = 0; i < n; ++i)
+          BS::broadcast_w<LC>(
+              &base[(static_cast<std::size_t>(weights[i]) * n + i) * LC],
+              c1[i], BS::live_mask<W>(v[i], base_t, lanes));
+        // Neighbour-first, fixed-width fold (core/layered_fold.hpp): vertex
+        // i's row in layer j starts at word i * LC, weight rows n * LC
+        // apart.
+        for (int j = 2; j <= k; ++j) {
+          auto& out = vals[static_cast<std::size_t>(j)];
+          std::fill(out.begin(), out.end(), W{0});
+          fold.level(j, width, 1, static_cast<std::size_t>(n) * LC, LC);
           for (graph::VertexId i = 0; i < n; ++i) {
             const std::size_t row = static_cast<std::size_t>(i) * LC;
-            if (!fold.vertex<LC>([&](int j1) {
+            if (!fold.template vertex<LC>([&](int j1) {
                   return vals[static_cast<std::size_t>(j1)].data() + row;
                 }))
               continue;
             for (graph::VertexId u : g.neighbors(i)) {
               const BS::Matrix sig = bs.matrix(sigma_coeff(
                   f, opt.seed, round, i, u, static_cast<std::uint32_t>(j)));
-              fold.neighbour<LC>(sig, [&](int j2) {
+              fold.template neighbour<LC>(sig, [&](int j2) {
                 return vals[static_cast<std::size_t>(j2)].data() +
                        static_cast<std::size_t>(u) * LC;
               });
             }
-            fold.finish<LC>(bs, out.data() + row);
+            fold.template finish<LC>(bs, out.data() + row);
           }
-        });
+        }
+        // Size-j accumulators only fold iterations t < 2^j (see the scalar
+        // kernel's comment); within this block that is a prefix lane mask.
+        for (int j = 1; j <= k; ++j) {
+          const std::uint64_t lim = std::uint64_t{1} << j;
+          if (base_t >= lim) continue;
+          const auto jmask = static_cast<W>(gf::detail_bs::low_lanes(
+              static_cast<int>(std::min<std::uint64_t>(lanes, lim - base_t))));
+          auto& acc = accum[static_cast<std::size_t>(j)];
+          for (std::uint32_t z = 0; z < width; ++z)
+            acc[z] = f.add(acc[z],
+                           static_cast<V>(gf::fold_xor_rows<LC>(
+                               vals[static_cast<std::size_t>(j)].data() +
+                                   static_cast<std::size_t>(z) * n * LC,
+                               n, LC, jmask)));
+        }
       }
-      // Size-j accumulators only fold iterations t < 2^j (see the scalar
-      // kernel's comment); within this block that is a prefix lane mask.
-      for (int j = 1; j <= k; ++j) {
-        const std::uint64_t lim = std::uint64_t{1} << j;
-        if (base_t >= lim) continue;
-        const int lv = static_cast<int>(
-            std::min<std::uint64_t>(lanes, lim - base_t));
-        const word jmask =
-            lv >= BS::kLanes ? ~word{0} : ((word{1} << lv) - 1);
-        auto& acc = accum[static_cast<std::size_t>(j)];
+      for (int j = 1; j <= k; ++j)
         for (std::uint32_t z = 0; z < width; ++z)
-          acc[z] = f.add(acc[z], static_cast<V>(gf::fold_xor_rows(
-                                     bs, vals[static_cast<std::size_t>(j)],
-                                     static_cast<std::size_t>(z) * n * L, n,
-                                     L, jmask)));
-      }
+          if (accum[static_cast<std::size_t>(j)][z] != f.zero())
+            table.feasible[static_cast<std::size_t>(j)][z] = true;
+      if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
     }
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (accum[static_cast<std::size_t>(j)][z] != f.zero())
-          table.feasible[static_cast<std::size_t>(j)][z] = true;
-    if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
-  }
+  });
 }
 
 }  // namespace detail_seq

@@ -20,8 +20,9 @@
 // element — hence every accumulator bit — equals the edge-first order's.
 //
 // Layout: a vertex's row in one layer holds the block for weight z and
-// 64-lane block blk at row + z * zstride + blk * L, for every caller (the
+// block blk at row + z * zstride + blk * L, for every caller (the
 // distributed engines and the sequential detectors the witness peel runs).
+// The plane word W is the phase's (gf::detail_bs::dispatch_block).
 #pragma once
 
 #include <algorithm>
@@ -33,18 +34,20 @@
 
 namespace midas::core::detail_fold {
 
-/// Per-rank buffers and steps of the neighbour-first fold. Buffers only
-/// grow, so one instance serves every vertex, level and phase of a run
-/// without allocating in the hot loop. Usage per (level j, vertex v):
-/// level() once per level, then vertex(); if it returns true, neighbour()
-/// for every edge (v, u) and finish() once.
+/// Per-rank buffers and steps of the neighbour-first fold over blocks of
+/// plane word W. Buffers only grow, so one instance per word type serves
+/// every vertex, level and phase of a run without allocating in the hot
+/// loop. Usage per (level j, vertex v): level() once per level, then
+/// vertex(); if it returns true, neighbour() for every edge (v, u) and
+/// finish() once.
+template <typename W>
 class LayeredFold {
  public:
   using BS = gf::BitslicedGF;
-  using word = BS::word;
+  using word = W;
 
   /// Fix the shape of level j: `width` weight rows (1 for motif) of
-  /// `nblocks` 64-lane blocks, `zstride` words apart, at L words a block.
+  /// `nblocks` blocks, `zstride` words apart, at L words a block.
   void level(int j, std::uint32_t width, std::size_t nblocks,
              std::size_t zstride, int L) {
     j_ = j;

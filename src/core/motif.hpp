@@ -39,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -106,60 +107,56 @@ template <typename V, typename F>
 }
 
 /// Lane-periodic patterns for the six low shade bits: bit b of
-/// kShadePeriod[s] is (b >> s) & 1, i.e. whether lane b's iteration has
-/// shade s set (for a 64-aligned block base).
+/// kShadePeriod[s] is (b >> s) & 1, i.e. whether iteration t has shade s
+/// set, for t & 63 == b.
 inline constexpr std::uint64_t kShadePeriod[6] = {
     0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
 
-/// Fill one 64-lane block of leaf values d_i for iterations
-/// [base, base + lanes). `us` holds the vertex's shade coefficients widened
-/// to the bitsliced value type. Aligned bases take the plane-parallel path:
-/// the shades >= 6 are constant across the block (broadcast of their XOR),
-/// the low shades toggle with the lane index (one periodic mask each).
-/// Unaligned bases — distributed phase boundaries need not be multiples of
-/// 64 — fall back to per-lane scalar values packed into planes; both paths
-/// produce the same exact field elements.
-inline void shade_block(const gf::BitslicedGF& bs,
-                        gf::BitslicedGF::word* dst,
-                        const gf::BitslicedGF::value_type* us,
-                        std::uint32_t mask, int k, std::uint64_t base,
-                        int lanes) {
+/// Fill one block of W-bit planes with leaf values d_i for iterations
+/// [base, base + lanes), lanes <= the lanes of W. `us` holds the vertex's
+/// shade coefficients widened to the bitsliced value type. Word-parallel at
+/// any base: the low shades follow t & 63, so their periodic masks rotate
+/// by base & 63; the shades >= 6 follow t >> 6, constant over the lanes
+/// before t crosses a multiple of 64 and over those after (a broadcast of
+/// their XOR on each side). Produces the same exact field elements as
+/// shade_value lane by lane.
+template <gf::detail_bs::PlaneWord W>
+void shade_block(const gf::BitslicedGF& bs, W* dst,
+                 const gf::BitslicedGF::value_type* us, std::uint32_t mask,
+                 int k, std::uint64_t base, int lanes) {
   using BS = gf::BitslicedGF;
-  using word = BS::word;
   const int L = bs.words();
   if (mask == 0) {
     for (int p = 0; p < L; ++p) dst[p] = 0;
     return;
   }
-  const word lane_mask =
-      lanes >= BS::kLanes ? ~word{0} : ((word{1} << lanes) - 1);
-  if ((base & (BS::kLanes - 1)) == 0) {
-    BS::value_type c_hi = 0;
+  const auto sh = static_cast<unsigned>(base & 63u);
+  const std::uint64_t live = gf::detail_bs::low_lanes(lanes);
+  const std::uint64_t first = gf::detail_bs::first_chunk(sh);
+  auto high_shades = [&](std::uint64_t h) {
+    BS::value_type c = 0;
     for (int s = 6; s < k; ++s)
-      if (((mask >> s) & 1u) != 0 && ((base >> s) & 1u) != 0) c_hi ^= us[s];
-    bs.broadcast(dst, c_hi, lane_mask);
-    for (int s = 0; s < 6 && s < k; ++s) {
-      if (((mask >> s) & 1u) == 0) continue;
-      const word pat = kShadePeriod[s] & lane_mask;
-      const BS::value_type c = us[s];
-      for (int p = 0; p < L; ++p)
-        dst[p] ^= ((c >> p) & 1u) != 0 ? pat : word{0};
+      if (((mask >> s) & 1u) != 0 && ((h >> (s - 6)) & 1u) != 0) c ^= us[s];
+    return c;
+  };
+  const BS::value_type c_first = high_shades(base >> 6);
+  const BS::value_type c_next = high_shades((base >> 6) + 1);
+  // The low shades in the mask: rotated pattern and coefficient each.
+  std::uint64_t pat[6] = {};
+  BS::value_type coef[6] = {};
+  int low = 0;
+  for (int s = 0; s < 6 && s < k; ++s)
+    if (((mask >> s) & 1u) != 0) {
+      pat[low] = std::rotr(kShadePeriod[s], static_cast<int>(sh));
+      coef[low++] = us[s];
     }
-  } else {
-    BS::value_type vals[BS::kLanes] = {};
-    for (int b = 0; b < lanes; ++b) {
-      const auto t = static_cast<std::uint32_t>(base) +
-                     static_cast<std::uint32_t>(b);
-      BS::value_type d = 0;
-      std::uint32_t m = mask & t;
-      while (m != 0) {
-        d ^= us[__builtin_ctz(m)];
-        m &= m - 1;
-      }
-      vals[b] = d;
-    }
-    bs.pack_lanes(dst, vals, lanes);
+  for (int p = 0; p < L; ++p) {
+    std::uint64_t plane = (((c_first >> p) & 1u) != 0 ? first : 0) ^
+                          (((c_next >> p) & 1u) != 0 ? ~first : 0);
+    for (int i = 0; i < low; ++i)
+      if (((coef[i] >> p) & 1u) != 0) plane ^= pat[i];
+    dst[p] = static_cast<W>(plane & live);
   }
 }
 
@@ -231,57 +228,54 @@ template <gf::Bitsliceable F>
 DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
                              const DetectOptions& opt, const F& f) {
   using BS = gf::BitslicedGF;
-  using word = BS::word;
   using V = typename F::value_type;
   const BS bs(f);
-  const int L = bs.words();
   const int k = plan.k;
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
 
   const std::uint64_t iters = std::uint64_t{1} << k;
-  const std::size_t nblocks =
-      (iters + BS::kLanes - 1) / BS::kLanes;
-  const std::size_t wpv = nblocks * static_cast<std::size_t>(L);
-  auto lanes_of = [&](std::size_t blk) {
-    return static_cast<int>(
-        std::min<std::uint64_t>(BS::kLanes, iters - blk * BS::kLanes));
-  };
   std::vector<BS::value_type> us(static_cast<std::size_t>(n) * k);
-  std::vector<std::vector<word>> vals(static_cast<std::size_t>(k) + 1);
-  for (int j = 1; j <= k; ++j)
-    vals[static_cast<std::size_t>(j)].resize(
-        static_cast<std::size_t>(n) * wpv);
-  detail_fold::LayeredFold fold;
 
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i) {
-      const std::uint32_t mask = plan.vertex_mask[i];
-      for (int s = 0; s < k; ++s)
-        if (((mask >> s) & 1u) != 0)
-          us[static_cast<std::size_t>(i) * k + s] =
-              static_cast<BS::value_type>(shade_coeff(
-                  f, opt.seed, round, i, static_cast<std::uint32_t>(s)));
-    }
-    auto& base = vals[1];
-    for (graph::VertexId i = 0; i < n; ++i)
-      for (std::size_t blk = 0; blk < nblocks; ++blk)
-        shade_block(bs, &base[static_cast<std::size_t>(i) * wpv + blk * L],
-                    us.data() + static_cast<std::size_t>(i) * k,
-                    plan.vertex_mask[i], k, blk * BS::kLanes,
-                    lanes_of(blk));
-    // Neighbour-first, fixed-width fold (core/layered_fold.hpp), the same
-    // formulation as the distributed engine's.
-    for (int j = 2; j <= k; ++j) {
-      auto& out = vals[static_cast<std::size_t>(j)];
-      std::fill(out.begin(), out.end(), word{0});
-      fold.level(j, 1, nblocks, 0, L);
-      gf::detail_bs::dispatch_width(L, [&](auto lc) {
-        constexpr int LC = decltype(lc)::value;
+  // The blocks' plane word follows the 2^k iterations of a round.
+  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
+    using W = typename decltype(wt)::type;
+    constexpr int LC = decltype(lc)::value;
+    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
+    const std::size_t nblocks = (iters + kLanes - 1) / kLanes;
+    const std::size_t wpv = nblocks * LC;
+    std::vector<std::vector<W>> vals(static_cast<std::size_t>(k) + 1);
+    for (int j = 1; j <= k; ++j)
+      vals[static_cast<std::size_t>(j)].resize(
+          static_cast<std::size_t>(n) * wpv);
+    detail_fold::LayeredFold<W> fold;
+
+    for (int round = 0; round < opt.rounds(); ++round) {
+      MIDAS_TRACE_SPAN("seq.round", {"round", round});
+      for (graph::VertexId i = 0; i < n; ++i) {
+        const std::uint32_t mask = plan.vertex_mask[i];
+        for (int s = 0; s < k; ++s)
+          if (((mask >> s) & 1u) != 0)
+            us[static_cast<std::size_t>(i) * k + s] =
+                static_cast<BS::value_type>(shade_coeff(
+                    f, opt.seed, round, i, static_cast<std::uint32_t>(s)));
+      }
+      auto& base = vals[1];
+      for (graph::VertexId i = 0; i < n; ++i)
+        for (std::size_t blk = 0; blk < nblocks; ++blk)
+          shade_block(bs, &base[static_cast<std::size_t>(i) * wpv + blk * LC],
+                      us.data() + static_cast<std::size_t>(i) * k,
+                      plan.vertex_mask[i], k, blk * kLanes,
+                      static_cast<int>(std::min(kLanes, iters - blk * kLanes)));
+      // Neighbour-first, fixed-width fold (core/layered_fold.hpp), the same
+      // formulation as the distributed engine's.
+      for (int j = 2; j <= k; ++j) {
+        auto& out = vals[static_cast<std::size_t>(j)];
+        std::fill(out.begin(), out.end(), W{0});
+        fold.level(j, 1, nblocks, 0, LC);
         for (graph::VertexId i = 0; i < n; ++i) {
           const std::size_t row = static_cast<std::size_t>(i) * wpv;
-          if (!fold.vertex<LC>([&](int j1) {
+          if (!fold.template vertex<LC>([&](int j1) {
                 return vals[static_cast<std::size_t>(j1)].data() + row;
               }))
             continue;
@@ -289,29 +283,30 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
             const BS::Matrix sig =
                 bs.matrix(static_cast<BS::value_type>(sigma_coeff(
                     f, opt.seed, round, i, u, static_cast<std::uint32_t>(j))));
-            fold.neighbour<LC>(sig, [&](int j2) {
+            fold.template neighbour<LC>(sig, [&](int j2) {
               return vals[static_cast<std::size_t>(j2)].data() +
                      static_cast<std::size_t>(u) * wpv;
             });
           }
-          fold.finish<LC>(bs, out.data() + row);
+          fold.template finish<LC>(bs, out.data() + row);
         }
-      });
+      }
+      V total = f.zero();
+      for (std::size_t blk = 0; blk < nblocks; ++blk)
+        total = f.add(total,
+                      static_cast<V>(gf::fold_xor_rows<LC>(
+                          vals[static_cast<std::size_t>(k)].data() + blk * LC,
+                          n, wpv)));
+      res.iterations += iters;
+      ++res.rounds_run;
+      res.round_totals.push_back(static_cast<std::uint64_t>(total));
+      if (total != f.zero()) {
+        if (!res.found) res.found_round = round;
+        res.found = true;
+        if (opt.early_exit) return;
+      }
     }
-    V total = f.zero();
-    for (std::size_t blk = 0; blk < nblocks; ++blk)
-      total = f.add(total, static_cast<V>(gf::fold_xor_rows(
-                               bs, vals[static_cast<std::size_t>(k)],
-                               blk * L, n, wpv)));
-    res.iterations += iters;
-    ++res.rounds_run;
-    res.round_totals.push_back(static_cast<std::uint64_t>(total));
-    if (total != f.zero()) {
-      if (!res.found) res.found_round = round;
-      res.found = true;
-      if (opt.early_exit) return res;
-    }
-  }
+  });
   return res;
 }
 

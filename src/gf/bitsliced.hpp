@@ -1,22 +1,24 @@
-// Bit-sliced GF(2^l) arithmetic: 64 iteration-lanes per machine word.
+// Bit-sliced GF(2^l) arithmetic: up to 64 iteration-lanes per machine word.
 //
 // The detection kernels evaluate the same polynomial once per iteration
 // t in [0, 2^k), with per-element GF(2^l) log/antilog lookups. Since l <= 16
 // and GF(2^l) addition is XOR, the algebra bit-slices perfectly: a *block*
-// holds one GF(2^l) value for each of W = 64 consecutive iterations as l
-// 64-bit bit-planes (word p carries bit p of all 64 lane values). Then
+// holds one GF(2^l) value for each of W consecutive iterations as l W-bit
+// bit-planes (word p carries bit p of all W lane values). The plane word
+// follows the batch: uint8_t, uint16_t or uint32_t planes for a batch of at
+// most 8, 16 or 32 iterations, uint64_t planes (and ceil(batch / 64)
+// blocks) above that, so a narrow phase carries no empty lanes. Then
 //
-//  * lane-wise addition is l XORs (vs 64 scalar XORs),
+//  * lane-wise addition is l XORs (vs W scalar XORs),
 //  * multiplication by a constant c is the l x l binary matrix of c over
 //    the polynomial basis — built with l shift/XOR (xtime) steps, applied
-//    with ~l^2/2 word-XORs, amortized over all 64 lanes,
+//    with ~l^2/2 word-XORs, amortized over all W lanes,
 //  * full lane-wise multiplication is schoolbook plane convolution plus a
 //    sparse modulus reduction (~l^2 AND/XOR + l*wt(poly) XOR),
-//  * the liveness indicator [<v_i, t> = 0] over a 64-iteration block is a
-//    single 64-bit parity mask: with a 64-aligned block base, t = base | b,
-//    so parity(v & t) = parity(v & base) ^ parity(v & b) — a fixed
-//    per-vertex pattern over the low 6 bits of t plus one parity flip per
-//    block from the high bits.
+//  * the liveness indicator [<v_i, t> = 0] over a block is a parity mask:
+//    parity(v & t) splits into a fixed per-vertex pattern over the low 6
+//    bits of t (rotated by the block base) and one parity flip from the
+//    high bits, which changes at most once inside a block.
 //
 // This is the characteristic-2 sieving layout of Björklund–Kaski–Kowalik
 // and the GF(2^l)-evaluation framing of Abasi–Bshouty, specialized to the
@@ -25,8 +27,12 @@
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "gf/field.hpp"
@@ -60,6 +66,35 @@ constexpr std::array<std::uint64_t, 64> build_low_parity() {
 
 inline constexpr std::array<std::uint64_t, 64> kLowParity = build_low_parity();
 
+/// The bit-plane word types of a block, one per batch width.
+template <typename W>
+concept PlaneWord =
+    std::same_as<W, std::uint8_t> || std::same_as<W, std::uint16_t> ||
+    std::same_as<W, std::uint32_t> || std::same_as<W, std::uint64_t>;
+
+/// Lanes of a block whose planes are W words.
+template <PlaneWord W>
+inline constexpr int kLanesOf = std::numeric_limits<W>::digits;
+
+/// All-ones W when bit 0 of `bit` is set, else zero. Formed in 64 bits and
+/// narrowed once, so no int promotion of a narrow W leaks into the result.
+template <PlaneWord W>
+constexpr W spread(std::uint32_t bit) noexcept {
+  return static_cast<W>(std::uint64_t{0} - (bit & 1u));
+}
+
+/// The low `lanes` bits set, for lanes in [0, 64].
+constexpr std::uint64_t low_lanes(int lanes) noexcept {
+  return lanes >= 64 ? ~std::uint64_t{0}
+                     : (std::uint64_t{1} << lanes) - 1;
+}
+
+/// Lanes [0, 64 - sh) of a block whose first iteration has low bits sh:
+/// the lanes whose iteration t still has the block base's t >> 6.
+constexpr std::uint64_t first_chunk(unsigned sh) noexcept {
+  return sh == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (64 - sh)) - 1;
+}
+
 /// Lift a runtime width l in [2, 16] to a compile-time constant: calls
 /// fn(std::integral_constant<int, l>{}) so the kernel body it wraps is
 /// instantiated once per width with fully unrollable loops.
@@ -84,6 +119,68 @@ decltype(auto) dispatch_width(int l, Fn&& fn) {
   }
 }
 
+template <typename W>
+struct WordTag {
+  using type = W;
+};
+
+/// Plane word of a block for a batch of `batch` iterations: the narrowest
+/// of 8/16/32 lanes that holds the batch in one block, else 64.
+template <typename Fn>
+decltype(auto) dispatch_word(std::uint64_t batch, Fn&& fn) {
+  if (batch <= 8) return fn(WordTag<std::uint8_t>{});
+  if (batch <= 16) return fn(WordTag<std::uint16_t>{});
+  if (batch <= 32) return fn(WordTag<std::uint32_t>{});
+  return fn(WordTag<std::uint64_t>{});
+}
+
+/// The width of field F when every instance has the same one (GF256: 8),
+/// else 0.
+template <typename F>
+constexpr int static_bits() {
+  if constexpr (requires { typename std::integral_constant<int, F{}.bits()>; })
+    return F{}.bits();
+  else
+    return 0;
+}
+
+/// Lift (plane word, l) once per phase for a field of type F: calls
+/// fn(WordTag<W>{}, std::integral_constant<int, l>{}) with W the plane word
+/// for `batch` and l = f.bits(), so a kernel's phase body instantiates once
+/// per (word, width) pair — only for F's own width when it is fixed.
+template <typename F, typename Fn>
+decltype(auto) dispatch_block(std::uint64_t batch, const F& f, Fn&& fn) {
+  return dispatch_word(batch, [&](auto wt) -> decltype(auto) {
+    if constexpr (static_bits<F>() != 0)
+      return fn(wt, std::integral_constant<int, static_bits<F>()>{});
+    else
+      return dispatch_width(
+          f.bits(), [&](auto lc) -> decltype(auto) { return fn(wt, lc); });
+  });
+}
+
+/// One Of<W> per plane word type. Each word type keeps its own buffers,
+/// grown once and reused across phases, so storage of one word type is
+/// never read through a pointer to another.
+template <template <typename> class Of>
+class PerWord {
+ public:
+  template <PlaneWord W>
+  [[nodiscard]] Of<W>& get() noexcept {
+    return std::get<Of<W>>(parts_);
+  }
+
+ private:
+  std::tuple<Of<std::uint8_t>, Of<std::uint16_t>, Of<std::uint32_t>,
+             Of<std::uint64_t>>
+      parts_;
+};
+
+template <typename W>
+using Planes = std::vector<W>;
+template <typename W>
+using PlaneRows = std::vector<std::vector<W>>;
+
 /// Transpose the 8x8 bit matrix held in `x` (byte i = row i, bit j of a
 /// byte = column j) in three shift/mask swap steps: 1x1 cells within 2x2
 /// blocks, then 2x2 cells within 4x4 blocks, then the 4x4 quadrants.
@@ -99,11 +196,14 @@ constexpr std::uint64_t transpose8x8(std::uint64_t x) noexcept {
 
 }  // namespace detail_bs
 
-/// Bit-sliced GF(2^l) engine over 64-lane blocks. A block is `words() == l`
-/// consecutive std::uint64_t: word p is bit-plane p of the 64 lane values.
-/// Stateless apart from (l, modulus); cheap to copy.
+/// Bit-sliced GF(2^l) engine. A block is `words() == l` consecutive plane
+/// words: word p is bit-plane p of the block's lane values. The runtime-width
+/// methods work on 64-lane std::uint64_t blocks; the fixed-width `*_w` forms
+/// take any detail_bs::PlaneWord. Stateless apart from (l, modulus); cheap
+/// to copy.
 class BitslicedGF {
  public:
+  /// Lanes of a uint64_t block, and of a block of the halo wire format.
   static constexpr int kLanes = 64;
   using word = std::uint64_t;
   using value_type = std::uint16_t;
@@ -120,7 +220,7 @@ class BitslicedGF {
 
   [[nodiscard]] int bits() const noexcept { return l_; }
   [[nodiscard]] std::uint32_t modulus() const noexcept { return poly_; }
-  /// Words per 64-lane block (== bits()).
+  /// Words per block (== bits()), whatever the plane word.
   [[nodiscard]] int words() const noexcept { return l_; }
 
   // --- block primitives -----------------------------------------------
@@ -228,8 +328,7 @@ class BitslicedGF {
   /// Scatter `lanes` scalar values into a block's bit-planes (lanes beyond
   /// the count are cleared). Eight lanes at a time: their value bytes form
   /// an 8x8 bit matrix whose transpose holds one byte of each of 8 planes.
-  /// Used where values meet planes: the scalar kernel's halo and unaligned
-  /// shade blocks.
+  /// Used where values meet planes: the scalar kernel's halo.
   template <typename Vt>
   void pack_lanes(word* block, const Vt* vals, int lanes) const noexcept {
     clear(block);
@@ -284,83 +383,91 @@ class BitslicedGF {
   // --- compile-time-width fast paths ------------------------------------
   //
   // Same semantics as the runtime-width methods above, with the plane count
-  // as a template parameter so the inner loops fully unroll and vectorize
+  // L as a template parameter so the inner loops fully unroll and vectorize
   // (the runtime-bound loops keep the accumulator in stack memory and defeat
-  // SIMD). Every kernel's level fold dispatches on words() once per level
-  // via detail_bs::dispatch_width and uses only these in its block loops;
-  // the runtime-width methods are the reference the tests check them
-  // against.
+  // SIMD), and the plane word W (deduced from the block pointer) any of
+  // uint8_t/16/32/64. Every kernel lifts (W, L) once per phase via
+  // detail_bs::dispatch_block and uses only these in its block loops; the
+  // runtime-width methods are the uint64_t reference the tests check them
+  // against. Narrow words promote to int in arithmetic, so every store
+  // narrows back with an explicit cast.
 
-  template <int L>
-  static void clear_w(word* x) noexcept {
+  template <int L, detail_bs::PlaneWord W>
+  static void clear_w(W* x) noexcept {
     for (int p = 0; p < L; ++p) x[p] = 0;
   }
 
-  template <int L>
-  static void add_into_w(word* dst, const word* src) noexcept {
-    for (int p = 0; p < L; ++p) dst[p] ^= src[p];
+  template <int L, detail_bs::PlaneWord W>
+  static void add_into_w(W* dst, const W* src) noexcept {
+    for (int p = 0; p < L; ++p) dst[p] = static_cast<W>(dst[p] ^ src[p]);
   }
 
-  template <int L>
-  static void broadcast_w(word* dst, value_type c, word lane_mask) noexcept {
-    for (int p = 0; p < L; ++p) dst[p] = ((c >> p) & 1u) ? lane_mask : 0;
+  template <int L, detail_bs::PlaneWord W>
+  static void broadcast_w(W* dst, value_type c,
+                          std::type_identity_t<W> lane_mask) noexcept {
+    const unsigned cu = c;
+    for (int p = 0; p < L; ++p)
+      dst[p] = static_cast<W>(lane_mask & detail_bs::spread<W>(cu >> p));
   }
 
-  template <int L>
-  static void mask_block_w(word* x, word lane_mask) noexcept {
-    for (int p = 0; p < L; ++p) x[p] &= lane_mask;
+  template <int L, detail_bs::PlaneWord W>
+  static void mask_block_w(W* x, std::type_identity_t<W> lane_mask) noexcept {
+    for (int p = 0; p < L; ++p) x[p] = static_cast<W>(x[p] & lane_mask);
   }
 
   /// dst = M * src (dst may alias src), branch-free: every (p, q) pair
   /// contributes src[p] under an all-ones/all-zeros mask derived from bit q
   /// of row[p].
-  template <int L>
-  static void mul_matrix_w(word* dst, const Matrix& m,
-                           const word* src) noexcept {
-    word out[L] = {};
+  template <int L, detail_bs::PlaneWord W>
+  static void mul_matrix_w(W* dst, const Matrix& m, const W* src) noexcept {
+    W out[L] = {};
     for (int p = 0; p < L; ++p) {
-      const word s = src[p];
+      const W s = src[p];
       const std::uint32_t r = m.row[static_cast<std::size_t>(p)];
       for (int q = 0; q < L; ++q)
-        out[q] ^= s & (word{0} - static_cast<word>((r >> q) & 1u));
+        out[q] = static_cast<W>(out[q] ^ (s & detail_bs::spread<W>(r >> q)));
     }
     for (int q = 0; q < L; ++q) dst[q] = out[q];
   }
 
   /// dst = (M * src) & lane_mask (dst may alias src).
-  template <int L>
-  static void mul_matrix_masked_w(word* dst, const Matrix& m, const word* src,
-                                  word lane_mask) noexcept {
+  template <int L, detail_bs::PlaneWord W>
+  static void mul_matrix_masked_w(W* dst, const Matrix& m, const W* src,
+                                  std::type_identity_t<W> lane_mask) noexcept {
     mul_matrix_w<L>(dst, m, src);
     mask_block_w<L>(dst, lane_mask);
   }
 
-  template <int L>
-  [[nodiscard]] static bool is_zero_w(const word* x) noexcept {
-    word any = 0;
-    for (int p = 0; p < L; ++p) any |= x[p];
+  template <int L, detail_bs::PlaneWord W>
+  [[nodiscard]] static bool is_zero_w(const W* x) noexcept {
+    W any = 0;
+    for (int p = 0; p < L; ++p) any = static_cast<W>(any | x[p]);
     return any == 0;
   }
 
   /// Fixed-width lane-wise multiply, branch-free throughout: the plane
   /// convolution and the modulus reduction (each high plane folds into the
   /// L planes below it under the modulus tap masks) both vectorize.
-  template <int L>
-  void mul_w(word* dst, const word* a, const word* b) const noexcept {
-    word tmp[2 * L - 1] = {};
+  template <int L, detail_bs::PlaneWord W>
+  void mul_w(W* dst, const W* a, const W* b) const noexcept {
+    W tmp[2 * L - 1] = {};
     for (int p = 0; p < L; ++p) {
-      const word ap = a[p];
-      for (int q = 0; q < L; ++q) tmp[p + q] ^= ap & b[q];
+      const W ap = a[p];
+      for (int q = 0; q < L; ++q)
+        tmp[p + q] = static_cast<W>(tmp[p + q] ^ (ap & b[q]));
     }
     for (int s = 2 * L - 2; s >= L; --s) {
-      const word x = tmp[s];
-      for (int t = 0; t < L; ++t) tmp[s - L + t] ^= x & tap_[t];
+      const W x = tmp[s];
+      for (int t = 0; t < L; ++t)
+        tmp[s - L + t] = static_cast<W>(
+            tmp[s - L + t] ^
+            (x & static_cast<W>(tap_[static_cast<std::size_t>(t)])));
     }
     for (int p = 0; p < L; ++p) dst[p] = tmp[p];
   }
 
-  template <int L>
-  [[nodiscard]] static value_type fold_xor_w(const word* x) noexcept {
+  template <int L, detail_bs::PlaneWord W>
+  [[nodiscard]] static value_type fold_xor_w(const W* x) noexcept {
     value_type out = 0;
     for (int p = 0; p < L; ++p)
       out = static_cast<value_type>(out | ((std::popcount(x[p]) & 1) << p));
@@ -370,30 +477,27 @@ class BitslicedGF {
   // --- liveness ---------------------------------------------------------
 
   /// Lane mask of live iterations for vertex vector `v` over the block
-  /// [base, base + lanes): bit b is set iff <v, base + b> = 0 over GF(2).
-  /// With a 64-aligned base this is the fixed low-bit parity pattern of v,
-  /// complemented once per block by the high-bit parity; unaligned bases
-  /// (an N2 phase boundary that is not a multiple of 64) fall back to one
-  /// popcount per lane. Lanes >= `lanes` are always cleared.
-  [[nodiscard]] static word live_mask(std::uint32_t v, std::uint64_t base,
-                                      int lanes) noexcept {
-    word live;
-    if ((base & 63u) == 0) {
-      const word pattern = detail_bs::kLowParity[v & 63u];
-      const bool odd_base =
-          (std::popcount((v >> 6) & static_cast<std::uint32_t>(base >> 6)) &
-           1) != 0;
-      live = odd_base ? pattern : ~pattern;
-    } else {
-      live = 0;
-      for (int b = 0; b < lanes; ++b) {
-        const auto t = static_cast<std::uint32_t>(base) +
-                       static_cast<std::uint32_t>(b);
-        if ((std::popcount(v & t) & 1) == 0) live |= word{1} << b;
-      }
-    }
-    if (lanes < kLanes) live &= (word{1} << lanes) - 1;
-    return live;
+  /// [base, base + lanes), lanes <= the lanes of W: bit b is set iff
+  /// <v, base + b> = 0 over GF(2). Any base takes the word-parallel path:
+  /// the low 6 bits of t = base + b give v's fixed low-bit parity pattern
+  /// rotated by base & 63, and the high bits t >> 6 complement it once for
+  /// the lanes before t crosses a multiple of 64 and once for those after.
+  /// Lanes >= `lanes` are always cleared.
+  template <detail_bs::PlaneWord W = word>
+  [[nodiscard]] static W live_mask(std::uint32_t v, std::uint64_t base,
+                                   int lanes) noexcept {
+    const auto sh = static_cast<unsigned>(base & 63u);
+    const std::uint64_t hi = base >> 6;
+    auto even = [v](std::uint64_t h) {
+      return (std::popcount((v >> 6) & static_cast<std::uint32_t>(h)) & 1) ==
+             0;
+    };
+    const std::uint64_t first = detail_bs::first_chunk(sh);
+    std::uint64_t live = std::rotr(detail_bs::kLowParity[v & 63u],
+                                   static_cast<int>(sh));
+    if (even(hi)) live ^= first;
+    if (even(hi + 1)) live ^= ~first;
+    return static_cast<W>(live & detail_bs::low_lanes(lanes));
   }
 
  private:
@@ -404,20 +508,30 @@ class BitslicedGF {
 };
 
 /// The bit-sliced accumulate at fixed width: the XOR, over the lanes of
-/// `lane_mask`, of `count` blocks `stride` words apart starting at word
-/// `offset` of `planes` (one block per vertex).
-inline BitslicedGF::value_type fold_xor_rows(
-    const BitslicedGF& bs, const std::vector<BitslicedGF::word>& planes,
-    std::size_t offset, std::size_t count, std::size_t stride,
-    BitslicedGF::word lane_mask = ~BitslicedGF::word{0}) {
+/// `lane_mask`, of `count` L-word blocks `stride` words apart starting at
+/// `first` (one block per vertex).
+template <int L, detail_bs::PlaneWord W>
+[[nodiscard]] BitslicedGF::value_type fold_xor_rows(
+    const W* first, std::size_t count, std::size_t stride,
+    std::type_identity_t<W> lane_mask = static_cast<W>(~W{0})) noexcept {
   using BS = BitslicedGF;
+  W sum[L] = {};
+  for (std::size_t i = 0; i < count; ++i)
+    BS::add_into_w<L>(sum, first + i * stride);
+  BS::mask_block_w<L>(sum, lane_mask);
+  return BS::fold_xor_w<L>(sum);
+}
+
+/// The same at the engine's runtime width, over blocks starting at word
+/// `offset` of `planes`.
+template <detail_bs::PlaneWord W>
+[[nodiscard]] BitslicedGF::value_type fold_xor_rows(
+    const BitslicedGF& bs, const std::vector<W>& planes, std::size_t offset,
+    std::size_t count, std::size_t stride,
+    std::type_identity_t<W> lane_mask = static_cast<W>(~W{0})) {
   return detail_bs::dispatch_width(bs.words(), [&](auto lc) {
-    constexpr int LC = decltype(lc)::value;
-    BS::word sum[LC] = {};
-    for (std::size_t i = 0; i < count; ++i)
-      BS::add_into_w<LC>(sum, planes.data() + offset + i * stride);
-    BS::mask_block_w<LC>(sum, lane_mask);
-    return BS::fold_xor_w<LC>(sum);
+    return fold_xor_rows<decltype(lc)::value>(planes.data() + offset, count,
+                                              stride, lane_mask);
   });
 }
 

@@ -84,6 +84,12 @@ class Group {
       int rank) const {
     return stage_lists_[static_cast<std::size_t>(rank)];
   }
+  /// The payload `rank` staged for `receiver`. Only `receiver` touches this
+  /// slot, so it may move the payload out once it has read it.
+  [[nodiscard]] std::vector<std::byte>& staged_slot(int rank, int receiver) {
+    return stage_lists_[static_cast<std::size_t>(rank)]
+                       [static_cast<std::size_t>(receiver)];
+  }
   /// Did `rank` arrive at the barrier generation that just completed?
   /// (Members that had failed are absent; collectives must skip their
   /// stale staging slots.) Stable until the next barrier completes.
@@ -713,7 +719,7 @@ void Comm::allreduce_xor(std::span<std::uint8_t> inout) {
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallv(
-    const std::vector<std::vector<std::byte>>& send) {
+    std::vector<std::vector<std::byte>> send) {
   MIDAS_REQUIRE(static_cast<int>(send.size()) == size(),
                 "alltoallv: send vector arity != communicator size");
   MIDAS_TRACE_SPAN("comm.alltoallv");
@@ -734,7 +740,8 @@ std::vector<std::vector<std::byte>> Comm::alltoallv(
                       send[static_cast<std::size_t>(d)].size());
   }
 
-  group_->publish_list(rank_, send);
+  // The staged lists are group-owned, so they outlive this rank's frame.
+  group_->publish_list(rank_, std::move(send));
   const std::uint64_t gen = group_->barrier_sync(rank_, fail_policy_);
   // Deterministic per-collective fault key: every member derives the same
   // value from (group id, completed generation), independent of thread
@@ -749,8 +756,7 @@ std::vector<std::vector<std::byte>> Comm::alltoallv(
   double fault_time = 0.0;
   for (int s = 0; s < size(); ++s) {
     if (!group_->arrived_in_snapshot(s)) continue;  // dead peer: no payload
-    const auto& payload =
-        group_->staged_list(s)[static_cast<std::size_t>(rank_)];
+    auto& payload = group_->staged_slot(s, rank_);
     if (s != rank_ && !payload.empty()) {
       if (world_->faults_armed()) {
         const MessageFate fate = world_->injector().message_fate(
@@ -781,7 +787,9 @@ std::vector<std::vector<std::byte>> Comm::alltoallv(
       st.bytes_received += payload.size();
       MIDAS_TRACE_COUNT("comm.bytes_received", payload.size());
     }
-    out[static_cast<std::size_t>(s)] = payload;
+    // Faults and checksums are handled; this rank is the slot's only
+    // reader, so the payload moves out of staging.
+    out[static_cast<std::size_t>(s)] = std::move(payload);
   }
   world_->clock(world_rank_) += std::max(send_time, recv_time) + fault_time;
   st.t_comm += std::max(send_time, recv_time);

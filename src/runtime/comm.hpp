@@ -152,8 +152,10 @@ class Comm {
 
   /// Personalized all-to-all: send[i] goes to rank i; returns what every
   /// rank sent to me (recv[i] from rank i). Empty vectors mean no message.
+  /// Payloads move through the group's staging area without a copy: pass
+  /// `send` with std::move when the caller no longer needs it.
   [[nodiscard]] std::vector<std::vector<std::byte>> alltoallv(
-      const std::vector<std::vector<std::byte>>& send);
+      std::vector<std::vector<std::byte>> send);
 
   /// Gather each rank's bytes at `root` (others get an empty result).
   [[nodiscard]] std::vector<std::vector<std::byte>> gather(

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -865,6 +866,209 @@ TEST(NeighbourFold, SequentialScanTablesMatchScalarAtEveryWidth) {
       const auto sliced = detect_scan_seq(g, *w, o, f);
       EXPECT_EQ(sliced.feasible, scalar.feasible)
           << "l=" << l << (w == &dense ? " dense" : " one-heavy");
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Batch-width blocks: 8/16/32/64-lane plane words
+// ---------------------------------------------------------------------------
+
+/// Bit b of every plane of a W-plane block, as a field element.
+template <typename W>
+gf::BitslicedGF::value_type lane_of(const W* block, int l, int b) {
+  gf::BitslicedGF::value_type out = 0;
+  for (int p = 0; p < l; ++p)
+    out = static_cast<gf::BitslicedGF::value_type>(
+        out | (((block[p] >> b) & 1u) << p));
+  return out;
+}
+
+/// live_mask and shade_block at one plane word, for every base in
+/// [0, 256) — the multiples of the lane count, other multiples of 8 and
+/// every unaligned base — against their per-lane definitions.
+template <typename W>
+void check_word_parallel_leaves(Xoshiro256& rng) {
+  constexpr int kLanes = gf::detail_bs::kLanesOf<W>;
+  const gf::GFSmall f(11);
+  const gf::BitslicedGF bs(f);
+  constexpr int k = 10;  // shades 6..9 come from the high bits of t
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto v = static_cast<std::uint32_t>(rng());
+    const auto mask = static_cast<std::uint32_t>(rng.below(1u << k));
+    std::vector<gf::BitslicedGF::value_type> us(k);
+    for (auto& u : us)
+      u = static_cast<gf::BitslicedGF::value_type>(rng.below(f.order()));
+    for (std::uint64_t base = 0; base < 256; ++base)
+      for (const int lanes : {kLanes, kLanes - 3, 1}) {
+        const std::string tag = "W=" + std::to_string(kLanes) +
+                                " base=" + std::to_string(base) +
+                                " lanes=" + std::to_string(lanes);
+        const W live = gf::BitslicedGF::live_mask<W>(v, base, lanes);
+        W block[16];
+        detail_motif::shade_block(bs, block, us.data(), mask, k, base, lanes);
+        for (int b = 0; b < kLanes; ++b) {
+          const auto t = static_cast<std::uint32_t>(base) +
+                         static_cast<std::uint32_t>(b);
+          const bool want_live =
+              b < lanes && (std::popcount(v & t) & 1) == 0;
+          ASSERT_EQ(((live >> b) & 1u) != 0, want_live) << tag << " " << b;
+          const auto want_shade =
+              b < lanes ? detail_motif::shade_value(f, us.data(), mask, t)
+                        : gf::BitslicedGF::value_type{0};
+          ASSERT_EQ(lane_of(block, bs.words(), b), want_shade)
+              << tag << " lane " << b;
+        }
+      }
+  }
+}
+
+TEST(NarrowBlocks, LiveMaskAndShadeBlockMatchPerLaneAtEveryBaseAndWord) {
+  Xoshiro256 rng(8181);
+  check_word_parallel_leaves<std::uint8_t>(rng);
+  check_word_parallel_leaves<std::uint16_t>(rng);
+  check_word_parallel_leaves<std::uint32_t>(rng);
+  check_word_parallel_leaves<std::uint64_t>(rng);
+}
+
+TEST(NarrowBlocks, DispatchPicksTheNarrowestWordThatHoldsTheBatch) {
+  auto lanes_for = [](std::uint64_t batch) {
+    return gf::detail_bs::dispatch_word(batch, [](auto wt) {
+      return gf::detail_bs::kLanesOf<typename decltype(wt)::type>;
+    });
+  };
+  EXPECT_EQ(lanes_for(1), 8);
+  EXPECT_EQ(lanes_for(8), 8);
+  EXPECT_EQ(lanes_for(9), 16);
+  EXPECT_EQ(lanes_for(16), 16);
+  EXPECT_EQ(lanes_for(17), 32);
+  EXPECT_EQ(lanes_for(32), 32);
+  EXPECT_EQ(lanes_for(33), 64);
+  EXPECT_EQ(lanes_for(1024), 64);
+}
+
+constexpr int kNarrowK = 6;  // 64 iterations
+
+/// N2 values whose phases cover full and partial words of every type and
+/// unaligned bases: 1, 5 (uint8_t partial), 8 (full), 12 (uint16_t partial
+/// plus a 4-lane tail), 16 (full), 24 (uint32_t partial, base 24, and a
+/// full uint16_t tail at base 48), 32 (full), 33 (a partial uint64_t block
+/// and a 31-lane uint32_t one at base 33).
+constexpr std::uint32_t kNarrowN2[] = {1, 5, 8, 12, 16, 24, 32, 33};
+
+/// Scalar and bit-sliced runs of one distributed engine agree on the
+/// answer or table, clocks, messages and halo bytes at every l and every
+/// narrow N2.
+template <typename RunFn>
+void check_narrow_kernels(const char* engine, RunFn&& run) {
+  at_every_width([&](int l, const gf::GFSmall& f) {
+    for (const std::uint32_t n2 : kNarrowN2) {
+      const std::string tag = std::string(engine) +
+                              " l=" + std::to_string(l) +
+                              " N2=" + std::to_string(n2);
+      const HaloRun scalar = run(f, Kernel::kScalar, n2);
+      const HaloRun sliced = run(f, Kernel::kBitsliced, n2);
+      EXPECT_EQ(sliced.answer, scalar.answer) << tag;
+      EXPECT_EQ(sliced.vclocks, scalar.vclocks) << tag;
+      EXPECT_EQ(sliced.stats.messages_sent, scalar.stats.messages_sent)
+          << tag;
+      EXPECT_EQ(sliced.stats.bytes_sent, scalar.stats.bytes_sent) << tag;
+    }
+  });
+}
+
+MidasOptions narrow_opts(Kernel kernel, std::uint32_t n2) {
+  MidasOptions o = par_opts(kNarrowK, 4, 2, n2, kernel, 41);
+  o.max_rounds = 1;
+  o.early_exit = false;
+  return o;
+}
+
+TEST(NarrowBlocks, DistributedKPathKernelsAgreeAtEveryWidthAndBatch) {
+  const Graph g = fixtures::gnp(16, 0.25, 8282);
+  const auto part = partition::multilevel_partition(g, 2);
+  check_narrow_kernels(
+      "kpath", [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+        return halo_run(midas_kpath(g, part, narrow_opts(kernel, n2), f));
+      });
+}
+
+TEST(NarrowBlocks, DistributedKTreeKernelsAgreeAtEveryWidthAndBatch) {
+  const Graph g = fixtures::gnp(16, 0.25, 8383);
+  Xoshiro256 rng(84);
+  const TreeDecomposition td(graph::random_tree(kNarrowK, rng), 0);
+  const auto part = partition::multilevel_partition(g, 2);
+  check_narrow_kernels(
+      "ktree", [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+        return halo_run(midas_ktree(g, part, td, narrow_opts(kernel, n2), f));
+      });
+}
+
+TEST(NarrowBlocks, DistributedScanKernelsAgreeAtEveryWidthAndBatch) {
+  const Graph g = fixtures::gnp(12, 0.35, 8585);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  Xoshiro256 rng(86);
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(3));
+  const auto part = partition::multilevel_partition(g, 2);
+  check_narrow_kernels(
+      "scan", [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+        return halo_run(midas_scan(g, part, w, narrow_opts(kernel, n2), f));
+      });
+}
+
+TEST(NarrowBlocks, DistributedMotifKernelsAgreeAtEveryWidthAndBatch) {
+  const Graph g = fixtures::gnp(16, 0.3, 8787);
+  const auto m = inert_color_motif(g.num_vertices(), kNarrowK, 88);
+  const auto part = partition::multilevel_partition(g, 2);
+  check_narrow_kernels(
+      "motif", [&](const auto& f, Kernel kernel, std::uint32_t n2) {
+        return halo_run(midas_motif(g, part, m.colors, m.motif,
+                                    narrow_opts(kernel, n2), f));
+      });
+}
+
+/// The sequential drivers run one block of 2^k lanes per round: k = 3, 4
+/// and 5 fill a uint8_t, uint16_t and uint32_t word exactly.
+TEST(NarrowBlocks, SequentialDriversMatchScalarOnEveryNarrowWord) {
+  const Graph g = fixtures::gnp(14, 0.3, 8989);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  Xoshiro256 rng(90);
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(3));
+  at_every_width([&](int l, const gf::GFSmall& f) {
+    for (const int k : {3, 4, 5}) {
+      const std::string tag =
+          "l=" + std::to_string(l) + " k=" + std::to_string(k);
+      const std::uint64_t seed = 900 + static_cast<std::uint64_t>(l * 8 + k);
+      auto so = seq_opts(k, Kernel::kScalar, seed);
+      so.max_rounds = 3;
+      so.early_exit = false;
+      auto sb = so;
+      sb.kernel = Kernel::kBitsliced;
+
+      const auto ps = detect_kpath_seq(g, so, f);
+      const auto pb = detect_kpath_seq(g, sb, f);
+      EXPECT_EQ(pb.round_totals, ps.round_totals) << "kpath " << tag;
+
+      const TreeDecomposition td(
+          graph::random_tree(static_cast<graph::VertexId>(k), rng), 0);
+      const auto ts = detect_ktree_seq(g, td, so, f);
+      const auto tb = detect_ktree_seq(g, td, sb, f);
+      EXPECT_EQ(tb.round_totals, ts.round_totals) << "ktree " << tag;
+
+      const auto m = inert_color_motif(g.num_vertices(), k, seed);
+      const auto ms = detect_motif_seq(g, m.colors, m.motif, so, f);
+      const auto mb = detect_motif_seq(g, m.colors, m.motif, sb, f);
+      EXPECT_EQ(mb.round_totals, ms.round_totals) << "motif " << tag;
+
+      ScanOptions co;
+      co.k = k;
+      co.seed = seed;
+      co.max_rounds = 1;
+      co.kernel = Kernel::kScalar;
+      const auto cs = detect_scan_seq(g, w, co, f);
+      co.kernel = Kernel::kBitsliced;
+      const auto cb = detect_scan_seq(g, w, co, f);
+      EXPECT_EQ(cb.feasible, cs.feasible) << "scan " << tag;
     }
   });
 }
