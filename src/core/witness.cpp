@@ -41,8 +41,13 @@ DetectOptions oracle_options(const WitnessOptions& opt, int k) {
   return d;
 }
 
-/// Exact DFS for a simple k-path inside a (small) graph.
-std::optional<std::vector<VertexId>> dfs_kpath(const Graph& g, int k) {
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Exact searches (the peel's final step)
+// ---------------------------------------------------------------------------
+
+std::optional<std::vector<VertexId>> exact_kpath(const Graph& g, int k) {
   const VertexId n = g.num_vertices();
   std::vector<bool> used(n, false);
   std::vector<VertexId> path;
@@ -63,11 +68,11 @@ std::optional<std::vector<VertexId>> dfs_kpath(const Graph& g, int k) {
   return std::nullopt;
 }
 
-/// Exact search for a connected subset of exactly `j` vertices with weight
-/// `z` inside a (small) graph. Grows connected sets by DFS over frontiers.
-std::optional<std::vector<VertexId>> dfs_connected_jz(
+// Grows connected sets by DFS over frontiers.
+std::optional<std::vector<VertexId>> exact_connected_subgraph(
     const Graph& g, const std::vector<std::uint32_t>& w, int j,
     std::uint32_t z) {
+  MIDAS_REQUIRE(w.size() == g.num_vertices(), "one weight per vertex required");
   const VertexId n = g.num_vertices();
   std::vector<bool> in_set(n, false), banned(n, false);
   std::vector<VertexId> subset;
@@ -121,12 +126,15 @@ std::optional<std::vector<VertexId>> dfs_connected_jz(
   return std::nullopt;
 }
 
-/// Exact search for a connected vertex set whose color multiset equals
-/// `want` (pre-sorted) inside a (small) graph. Same rooted frontier growth
-/// as dfs_connected_jz, with the multiset check at full size.
-std::optional<std::vector<VertexId>> dfs_motif(
+// Same rooted frontier growth as exact_connected_subgraph, with the
+// multiset check at full size.
+std::optional<std::vector<VertexId>> exact_motif(
     const Graph& g, const std::vector<std::uint32_t>& colors,
-    const std::vector<std::uint32_t>& want) {
+    const std::vector<std::uint32_t>& motif) {
+  MIDAS_REQUIRE(colors.size() == g.num_vertices(),
+                "one color per vertex required");
+  std::vector<std::uint32_t> want(motif);
+  std::sort(want.begin(), want.end());
   const int j = static_cast<int>(want.size());
   const VertexId n = g.num_vertices();
   std::vector<bool> in_set(n, false), banned(n, false);
@@ -183,11 +191,11 @@ std::optional<std::vector<VertexId>> dfs_motif(
   return std::nullopt;
 }
 
-/// Exact backtracking embedding of `tree` into `h`: map template vertices
-/// in BFS order, each anchored on an already-mapped neighbor. Returns the
-/// image in h-local vertex ids.
-std::optional<std::vector<VertexId>> exact_tree_embed(const Graph& h,
-                                                      const Graph& tree) {
+// Maps template vertices in BFS order, each anchored on an already-mapped
+// neighbor.
+std::optional<std::vector<VertexId>> exact_tree_embedding(const Graph& h,
+                                                          const Graph& tree) {
+  MIDAS_REQUIRE(tree.num_vertices() >= 1, "template tree must be nonempty");
   const int k = static_cast<int>(tree.num_vertices());
   std::vector<VertexId> order;
   std::vector<int> anchor(k, -1);  // index into `order` of a mapped nbr
@@ -254,8 +262,6 @@ std::optional<std::vector<VertexId>> exact_tree_embed(const Graph& h,
   return std::nullopt;
 }
 
-}  // namespace
-
 /// Chunked peeling: repeatedly try to delete *groups* of candidate
 /// vertices (halving the group size down to singletons), keeping the
 /// removal whenever the oracle still answers "yes" on the residual graph.
@@ -266,20 +272,21 @@ void chunked_peel(VertexId n,
                   const std::function<bool(const std::vector<VertexId>&)>&
                       feasible_on,
                   std::vector<bool>& alive) {
+  std::vector<VertexId> keep;
   for (std::size_t chunk = std::max<std::size_t>(1, n / 2);;
        chunk /= 2) {
     const auto candidates = alive_list(alive);
+    keep.reserve(candidates.size());
     for (std::size_t begin = 0; begin < candidates.size(); begin += chunk) {
       const std::size_t end = std::min(begin + chunk, candidates.size());
-      std::vector<VertexId> keep;
-      keep.reserve(candidates.size());
-      for (VertexId v : alive_list(alive)) {
-        const bool removed =
-            std::binary_search(candidates.begin() + static_cast<long>(begin),
-                               candidates.begin() + static_cast<long>(end),
-                               v);
-        if (!removed) keep.push_back(v);
-      }
+      // `alive` only shrinks during a pass, and only in chunks already
+      // tried: the residual is the survivors before the chunk plus every
+      // candidate after it, already ascending.
+      keep.clear();
+      for (std::size_t i = 0; i < begin; ++i)
+        if (alive[candidates[i]]) keep.push_back(candidates[i]);
+      keep.insert(keep.end(), candidates.begin() + static_cast<long>(end),
+                  candidates.end());
       if (feasible_on(keep)) {
         for (std::size_t i = begin; i < end; ++i)
           alive[candidates[i]] = false;
@@ -396,6 +403,12 @@ bool validate_tree_embedding(const Graph& g, const Graph& tree,
 
 // ---------------------------------------------------------------------------
 // Known-feasible peels
+//
+// Every witness is a connected subgraph on k vertices (j for scan), so a
+// residual with no component that large holds none, and the one-sided
+// oracle (a "no" instance evaluates to zero) is certain to answer "no":
+// each oracle skips such a residual. A skipped call still consumes its
+// seed, so every later call, and the witness, is the same as with no skip.
 // ---------------------------------------------------------------------------
 
 std::optional<std::vector<VertexId>> peel_kpath(const Graph& g, int k,
@@ -406,15 +419,20 @@ std::optional<std::vector<VertexId>> peel_kpath(const Graph& g, int k,
     chunked_peel(
         g.num_vertices(),
         [&](const std::vector<VertexId>& keep) {
+          // Fresh randomness per call.
+          const std::uint64_t seed = opt.seed + 1 + (++call);
+          if (!graph::has_component_of_size(g, keep,
+                                            static_cast<std::size_t>(k)))
+            return false;
           const auto sub = graph::induced_subgraph(g, keep);
           DetectOptions dv = oracle_options(opt, k);
-          dv.seed = opt.seed + 1 + (++call);  // fresh randomness per call
+          dv.seed = seed;
           return detect_kpath_seq(sub.graph, dv, f).found;
         },
         alive);
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
-  auto local = dfs_kpath(sub.graph, k);
+  auto local = exact_kpath(sub.graph, k);
   if (!local) return std::nullopt;  // no witness: the caller's "yes" lied
   std::vector<VertexId> path;
   path.reserve(local->size());
@@ -447,15 +465,19 @@ std::optional<std::vector<VertexId>> peel_connected_subgraph(
     chunked_peel(
         g.num_vertices(),
         [&](const std::vector<VertexId>& keep) {
+          const std::uint64_t seed = opt.seed + 1 + (++call);
+          if (!graph::has_component_of_size(g, keep,
+                                            static_cast<std::size_t>(j)))
+            return false;
           auto [sub, w] = remap(keep);
           ScanOptions sv = s;
-          sv.seed = opt.seed + 1 + (++call);
+          sv.seed = seed;
           return detect_scan_seq(sub.graph, w, sv, f).at(j, z);
         },
         alive);
   });
   auto [sub, w] = remap(alive_list(alive));
-  auto local = dfs_connected_jz(sub.graph, w, j, z);
+  auto local = exact_connected_subgraph(sub.graph, w, j, z);
   if (!local) return std::nullopt;
   std::vector<VertexId> subset;
   subset.reserve(local->size());
@@ -474,15 +496,19 @@ std::optional<std::vector<VertexId>> peel_tree_embedding(
     chunked_peel(
         g.num_vertices(),
         [&](const std::vector<VertexId>& keep) {
+          const std::uint64_t seed = opt.seed + 1 + (++call);
+          if (!graph::has_component_of_size(g, keep,
+                                            static_cast<std::size_t>(k)))
+            return false;
           const auto sub = graph::induced_subgraph(g, keep);
           DetectOptions dv = oracle_options(opt, k);
-          dv.seed = opt.seed + 1 + (++call);
+          dv.seed = seed;
           return detect_ktree_seq(sub.graph, td, dv, f).found;
         },
         alive);
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
-  auto local = exact_tree_embed(sub.graph, tree);
+  auto local = exact_tree_embedding(sub.graph, tree);
   if (!local) return std::nullopt;
   std::vector<VertexId> mapped(static_cast<std::size_t>(k));
   for (int t = 0; t < k; ++t)
@@ -511,17 +537,19 @@ std::optional<std::vector<VertexId>> peel_motif(
     chunked_peel(
         g.num_vertices(),
         [&](const std::vector<VertexId>& keep) {
+          const std::uint64_t seed = opt.seed + 1 + (++call);
+          if (!graph::has_component_of_size(g, keep,
+                                            static_cast<std::size_t>(k)))
+            return false;
           auto [sub, c] = remap(keep);
           DetectOptions dv = oracle_options(opt, k);
-          dv.seed = opt.seed + 1 + (++call);
+          dv.seed = seed;
           return detect_motif_seq(sub.graph, c, motif, dv, f).found;
         },
         alive);
   });
   auto [sub, c] = remap(alive_list(alive));
-  std::vector<std::uint32_t> want(motif);
-  std::sort(want.begin(), want.end());
-  auto local = dfs_motif(sub.graph, c, want);
+  auto local = exact_motif(sub.graph, c, motif);
   if (!local) return std::nullopt;  // no witness: the caller's "yes" lied
   std::vector<VertexId> vs;
   vs.reserve(local->size());

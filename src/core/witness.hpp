@@ -120,6 +120,31 @@ peel_tree_embedding(const graph::Graph& g, const graph::Graph& tree,
     const std::vector<std::uint32_t>& motif, const WitnessOptions& opt = {});
 
 // ---------------------------------------------------------------------------
+// Exact searches (exponential time: the peel's final step on its small
+// survivor set). Ids are local to g; nullopt when g holds no witness.
+// ---------------------------------------------------------------------------
+
+/// First simple k-path found by DFS from each start vertex in id order.
+[[nodiscard]] std::optional<std::vector<graph::VertexId>> exact_kpath(
+    const graph::Graph& g, int k);
+
+/// A connected set of exactly j vertices with total weight z.
+[[nodiscard]] std::optional<std::vector<graph::VertexId>>
+exact_connected_subgraph(const graph::Graph& g,
+                         const std::vector<std::uint32_t>& weights, int j,
+                         std::uint32_t z);
+
+/// A connected set whose color multiset equals `motif` (any order).
+[[nodiscard]] std::optional<std::vector<graph::VertexId>> exact_motif(
+    const graph::Graph& g, const std::vector<std::uint32_t>& colors,
+    const std::vector<std::uint32_t>& motif);
+
+/// An embedding of `tree` into g (template vertex -> graph vertex), by
+/// backtracking.
+[[nodiscard]] std::optional<std::vector<graph::VertexId>>
+exact_tree_embedding(const graph::Graph& g, const graph::Graph& tree);
+
+// ---------------------------------------------------------------------------
 // Exact witness validators (no randomness; the certification last word)
 // ---------------------------------------------------------------------------
 

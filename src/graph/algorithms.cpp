@@ -82,19 +82,49 @@ InducedSubgraph induced_subgraph(const Graph& g,
   out.to_original.erase(
       std::unique(out.to_original.begin(), out.to_original.end()),
       out.to_original.end());
-  std::unordered_set<VertexId> members(out.to_original.begin(),
-                                       out.to_original.end());
   std::vector<VertexId> new_id(g.num_vertices(), kUnreachable);
   for (VertexId i = 0; i < out.to_original.size(); ++i)
     new_id[out.to_original[i]] = i;
   GraphBuilder b(static_cast<VertexId>(out.to_original.size()));
   for (VertexId u : out.to_original) {
     for (VertexId v : g.neighbors(u)) {
-      if (u < v && members.count(v)) b.add_edge(new_id[u], new_id[v]);
+      if (u < v && new_id[v] != kUnreachable)
+        b.add_edge(new_id[u], new_id[v]);
     }
   }
   out.graph = b.build();
   return out;
+}
+
+bool has_component_of_size(const Graph& g, const std::vector<VertexId>& keep,
+                           std::size_t k) {
+  MIDAS_REQUIRE(k >= 1, "component size must be at least 1");
+  if (keep.size() < k) return false;
+  // 0 = outside keep, 1 = kept and unvisited, 2 = visited.
+  std::vector<std::uint8_t> state(g.num_vertices(), 0);
+  for (VertexId v : keep) {
+    MIDAS_REQUIRE(v < g.num_vertices(), "kept vertex out of range");
+    state[v] = 1;
+  }
+  if (k == 1) return true;  // keep is nonempty
+  std::vector<VertexId> stack;
+  for (VertexId s : keep) {
+    if (state[s] != 1) continue;
+    state[s] = 2;
+    stack.push_back(s);
+    std::size_t size = 1;
+    while (!stack.empty()) {
+      const VertexId u = stack.back();
+      stack.pop_back();
+      for (VertexId v : g.neighbors(u)) {
+        if (state[v] != 1) continue;
+        if (++size >= k) return true;
+        state[v] = 2;
+        stack.push_back(v);
+      }
+    }
+  }
+  return false;
 }
 
 DegreeStats degree_stats(const Graph& g) {

@@ -33,6 +33,13 @@ struct InducedSubgraph {
 [[nodiscard]] InducedSubgraph induced_subgraph(
     const Graph& g, const std::vector<VertexId>& vertices);
 
+/// True if some connected component of the subgraph induced on `keep` has
+/// at least k >= 1 vertices. A DFS over g restricted to `keep` that stops
+/// as soon as one component reaches k; builds no induced subgraph.
+[[nodiscard]] bool has_component_of_size(const Graph& g,
+                                         const std::vector<VertexId>& keep,
+                                         std::size_t k);
+
 /// Degree distribution summary.
 struct DegreeStats {
   std::uint32_t min = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -77,33 +76,43 @@ Level coarsen(Level& fine, Xoshiro256& rng) {
     ++coarse_n;
   }
 
-  // Aggregate edges between coarse vertices.
+  // Aggregate edges between coarse vertices into a dense accumulator.
+  // Edge weights are >= 1, so a zero slot is an untouched one; each coarse
+  // vertex's touched neighbours are emitted sorted and their slots reset.
+  // Coarse vertices are visited in id order through their smaller fine
+  // member, the order the ids were assigned in.
   Level coarse;
   coarse.n = coarse_n;
   coarse.vweight.assign(coarse_n, 0);
   for (VertexId v = 0; v < n; ++v)
     coarse.vweight[fine.parent[v]] += fine.vweight[v];
-  std::vector<std::unordered_map<VertexId, std::uint32_t>> agg(coarse_n);
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexId cv = fine.parent[v];
-    for (auto e = fine.offsets[v]; e < fine.offsets[v + 1]; ++e) {
-      const VertexId cu = fine.parent[fine.nbr[e]];
-      if (cu != cv) agg[cv][cu] += fine.eweight[e];
-    }
-  }
   coarse.offsets.assign(static_cast<std::size_t>(coarse_n) + 1, 0);
-  for (VertexId v = 0; v < coarse_n; ++v)
-    coarse.offsets[v + 1] = coarse.offsets[v] + agg[v].size();
-  coarse.nbr.reserve(coarse.offsets[coarse_n]);
-  coarse.eweight.reserve(coarse.offsets[coarse_n]);
-  for (VertexId v = 0; v < coarse_n; ++v) {
-    std::vector<std::pair<VertexId, std::uint32_t>> sorted(
-        agg[v].begin(), agg[v].end());
-    std::sort(sorted.begin(), sorted.end());
-    for (auto [u, w] : sorted) {
-      coarse.nbr.push_back(u);
-      coarse.eweight.push_back(w);
+  coarse.nbr.reserve(fine.nbr.size());
+  coarse.eweight.reserve(fine.nbr.size());
+  std::vector<std::uint32_t> acc(coarse_n, 0);
+  std::vector<VertexId> touched;
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId m = match[v];
+    if (m < v) continue;  // visited through m
+    const VertexId cv = fine.parent[v];
+    auto add_edges = [&](VertexId x) {
+      for (auto e = fine.offsets[x]; e < fine.offsets[x + 1]; ++e) {
+        const VertexId cu = fine.parent[fine.nbr[e]];
+        if (cu == cv) continue;
+        if (acc[cu] == 0) touched.push_back(cu);
+        acc[cu] += fine.eweight[e];
+      }
+    };
+    add_edges(v);
+    if (m != v) add_edges(m);
+    std::sort(touched.begin(), touched.end());
+    for (VertexId cu : touched) {
+      coarse.nbr.push_back(cu);
+      coarse.eweight.push_back(acc[cu]);
+      acc[cu] = 0;
     }
+    coarse.offsets[cv + 1] = coarse.nbr.size();
+    touched.clear();
   }
   return coarse;
 }
@@ -194,6 +203,8 @@ Partition multilevel_partition(const Graph& g, int parts,
   MIDAS_REQUIRE(parts >= 1, "need at least one part");
   MIDAS_REQUIRE(g.num_vertices() >= static_cast<VertexId>(parts),
                 "more parts than vertices");
+  if (parts == 1)  // what coarsening and refining would return
+    return Partition{1, std::vector<int>(g.num_vertices(), 0)};
   Xoshiro256 rng(opt.seed);
 
   // Coarsen until small or no longer shrinking.

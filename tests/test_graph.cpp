@@ -170,6 +170,48 @@ TEST(Algorithms, InducedSubgraph) {
     EXPECT_TRUE(g.has_edge(sub.to_original[u], sub.to_original[v]));
 }
 
+TEST(Algorithms, ComponentOfSizeEdgeCases) {
+  // Components {0,1,2} (a path), {3,4} and the isolated 5, 6.
+  GraphBuilder b(7);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(3, 4);
+  const Graph g = b.build();
+  // Empty keep: no component at all, whatever k.
+  EXPECT_FALSE(has_component_of_size(g, {}, 1));
+  EXPECT_FALSE(has_component_of_size(g, {}, 3));
+  // k = 1: any kept vertex, isolated or not.
+  EXPECT_TRUE(has_component_of_size(g, {5}, 1));
+  EXPECT_TRUE(has_component_of_size(g, {2}, 1));
+  // Isolated vertices never join up, however many are kept.
+  EXPECT_FALSE(has_component_of_size(g, {5, 6}, 2));
+  EXPECT_FALSE(has_component_of_size(g, {0, 2, 5, 6}, 2));
+  // A component of exactly k vertices counts; k + 1 does not.
+  EXPECT_TRUE(has_component_of_size(g, {0, 1, 2, 5}, 3));
+  EXPECT_FALSE(has_component_of_size(g, {0, 1, 2, 3, 4, 5, 6}, 4));
+  EXPECT_TRUE(has_component_of_size(g, {6, 4, 3}, 2));  // any order
+  // The search follows only kept vertices: dropping 1 splits the path.
+  EXPECT_FALSE(has_component_of_size(g, {0, 2, 3, 4, 5, 6}, 3));
+}
+
+TEST(Algorithms, ComponentOfSizeMatchesInducedComponents) {
+  Xoshiro256 rng(88);
+  const Graph g = erdos_renyi_gnp(300, 1.2 / 299, rng);  // many fragments
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<VertexId> keep;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (rng.below(3) != 0) keep.push_back(v);
+    const auto sub = induced_subgraph(g, keep);
+    const auto label = connected_components(sub.graph);
+    std::vector<std::size_t> size(sub.graph.num_vertices() + 1, 0);
+    for (VertexId l : label) ++size[l];
+    const std::size_t largest = *std::max_element(size.begin(), size.end());
+    for (std::size_t k = 1; k <= largest + 1; ++k)
+      EXPECT_EQ(has_component_of_size(g, keep, k), k <= largest)
+          << "trial " << trial << " k " << k;
+  }
+}
+
 TEST(IO, RoundTripThroughStreams) {
   Xoshiro256 rng(7);
   const Graph g = erdos_renyi_gnm(40, 120, rng);

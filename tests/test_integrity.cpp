@@ -16,11 +16,16 @@
 #include <vector>
 
 #include "core/detect_par.hpp"
+#include "core/motif.hpp"
 #include "core/schedule.hpp"
+#include "core/tree_template.hpp"
 #include "core/witness.hpp"
 #include "fixtures.hpp"
 #include "gf/gf256.hpp"
+#include "gf/gfsmall.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/csr.hpp"
+#include "graph/generators.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "service/artifact_cache.hpp"
@@ -691,6 +696,300 @@ TEST(WitnessPeel, ExtractTreeEmbeddingSpiderTemplate) {
   if (!image.has_value())
     GTEST_SKIP() << "graph admits no spider embedding for this seed";
   EXPECT_TRUE(core::validate_tree_embedding(g, spider, *image));
+}
+
+// ---------------------------------------------------------------------------
+// Peel gate: skipping oracle calls on residuals without a k-vertex
+// component returns exactly the witness of the ungated peel
+// ---------------------------------------------------------------------------
+
+using graph::VertexId;
+
+/// Forty disjoint small components (random trees of 1..8 vertices, the
+/// larger ones with one chord): most residuals a peel probes here have no
+/// component of k vertices.
+graph::Graph small_components_graph(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  VertexId n = 0;
+  for (int c = 0; c < 40; ++c) {
+    const VertexId size = 1 + static_cast<VertexId>(c % 8);
+    for (auto [u, v] : graph::random_tree(size, rng).edge_list())
+      edges.emplace_back(n + u, n + v);
+    if (size >= 4) edges.emplace_back(n, n + size - 1);
+    n += size;
+  }
+  graph::GraphBuilder b(n);
+  for (auto [u, v] : edges) b.add_edge(u, v);
+  return b.build();
+}
+
+std::vector<graph::Graph> gate_fixtures() {
+  Xoshiro256 road_rng(62), ba_rng(63);
+  return {fixtures::gnp(150, 4.0 / 149, 61),
+          graph::road_network(144, 0.9, road_rng),
+          graph::barabasi_albert(150, 2, ba_rng), small_components_graph(64)};
+}
+
+/// The first k vertices of a BFS that reaches k, or empty: a connected
+/// k-set to draw a feasible motif or (j, z) cell from.
+std::vector<VertexId> connected_sample(const graph::Graph& g, int k) {
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    std::vector<VertexId> order{s};
+    std::set<VertexId> seen{s};
+    for (std::size_t head = 0;
+         head < order.size() && static_cast<int>(order.size()) < k; ++head)
+      for (VertexId u : g.neighbors(order[head]))
+        if (static_cast<int>(order.size()) < k && seen.insert(u).second)
+          order.push_back(u);
+    if (static_cast<int>(order.size()) == k) return order;
+  }
+  return {};
+}
+
+/// The tree template over [0, k) where vertex i hangs off (i - 1) / 3.
+graph::Graph gate_template(int k) {
+  graph::GraphBuilder b(static_cast<VertexId>(k));
+  for (int i = 1; i < k; ++i)
+    b.add_edge(static_cast<VertexId>((i - 1) / 3), static_cast<VertexId>(i));
+  return b.build();
+}
+
+/// Calls the gate would skip, and how many of them the oracle said "yes"
+/// on (must stay zero: the gate is exact only because the oracle is
+/// one-sided).
+struct GateTally {
+  int skippable = 0;
+  int skippable_yes = 0;
+};
+
+/// Ungated reference peel: public `chunked_peel` with the oracle run on every
+/// call under the peels' seed schedule (opt.seed + 1 + call number), then
+/// the same exact search on the survivors, mapped back to g's ids.
+/// `oracle(sub, seed)` answers on a residual's induced subgraph and
+/// `finish(sub)` searches the survivors' one; `sorted` sorts the mapped
+/// witness (the set-valued peels return it sorted).
+template <typename Oracle, typename Finish>
+std::optional<std::vector<VertexId>> reference_peel(
+    const graph::Graph& g, std::uint64_t seed, int size, bool sorted,
+    GateTally& tally, Oracle oracle, Finish finish) {
+  std::vector<bool> alive(g.num_vertices(), true);
+  std::uint64_t call = 0;
+  core::chunked_peel(
+      g.num_vertices(),
+      [&](const std::vector<VertexId>& keep) {
+        const auto sub = graph::induced_subgraph(g, keep);
+        const bool yes = oracle(sub, seed + 1 + (++call));
+        std::vector<int> comp_size(sub.graph.num_vertices(), 0);
+        int largest = 0;
+        for (VertexId l : graph::connected_components(sub.graph))
+          largest = std::max(largest, ++comp_size[l]);
+        if (largest < size) {
+          ++tally.skippable;
+          if (yes) ++tally.skippable_yes;
+        }
+        return yes;
+      },
+      alive);
+  std::vector<VertexId> survivors;
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    if (alive[v]) survivors.push_back(v);
+  const auto sub = graph::induced_subgraph(g, survivors);
+  auto local = finish(sub);
+  if (!local) return std::nullopt;
+  for (auto& v : *local) v = sub.to_original[v];
+  if (sorted) std::sort(local->begin(), local->end());
+  return local;
+}
+
+/// Oracle settings the peels are compared under: ε = 0.9 (one round) in
+/// GF(2^4), where misses are common, so the survivors depend on every
+/// call's seed; and the certify defaults (ε = 0.01, GF(2^8)).
+struct GateCase {
+  double eps;
+  int field_bits;
+};
+constexpr GateCase kGateCases[] = {{0.9, 4}, {0.01, 8}};
+
+/// Run `fn` with the field the peels use for `bits`.
+template <typename Fn>
+auto with_gate_field(int bits, Fn&& fn) {
+  if (bits == 8) return fn(gf::GF256{});
+  return fn(gf::GFSmall(bits));
+}
+
+TEST(WitnessPeelGate, KpathMatchesUngatedReference) {
+  GateTally tally;
+  int found = 0;
+  for (const auto& g : gate_fixtures())
+    for (int k = 3; k <= 5; ++k)
+      for (const auto [eps, bits] : kGateCases) {
+        core::WitnessOptions opt;
+        opt.epsilon = eps;
+        opt.field_bits = bits;
+        opt.seed = 100 + static_cast<std::uint64_t>(k);
+        const auto ref = reference_peel(
+            g, opt.seed, k, false, tally,
+            [&](const graph::InducedSubgraph& sub, std::uint64_t seed) {
+              core::DetectOptions d;
+              d.k = k;
+              d.epsilon = eps;
+              d.seed = seed;
+              return with_gate_field(bits, [&](const auto& f) {
+                return core::detect_kpath_seq(sub.graph, d, f).found;
+              });
+            },
+            [&](const graph::InducedSubgraph& sub) {
+              return core::exact_kpath(sub.graph, k);
+            });
+        const auto got = core::peel_kpath(g, k, opt);
+        EXPECT_EQ(got, ref) << "n=" << g.num_vertices() << " k=" << k
+                            << " eps=" << eps << " l=" << bits;
+        if (got) {
+          ++found;
+          EXPECT_TRUE(core::validate_kpath(g, *got, k));
+        }
+      }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(tally.skippable, 0);
+  EXPECT_EQ(tally.skippable_yes, 0);
+}
+
+TEST(WitnessPeelGate, TreeEmbeddingMatchesUngatedReference) {
+  GateTally tally;
+  int found = 0;
+  for (const auto& g : gate_fixtures())
+    for (int k = 3; k <= 5; ++k)
+      for (const auto [eps, bits] : kGateCases) {
+        const graph::Graph tree = gate_template(k);
+        const core::TreeDecomposition td(tree, 0);
+        core::WitnessOptions opt;
+        opt.epsilon = eps;
+        opt.field_bits = bits;
+        opt.seed = 200 + static_cast<std::uint64_t>(k);
+        const auto ref = reference_peel(
+            g, opt.seed, k, false, tally,
+            [&](const graph::InducedSubgraph& sub, std::uint64_t seed) {
+              core::DetectOptions d;
+              d.k = k;
+              d.epsilon = eps;
+              d.seed = seed;
+              return with_gate_field(bits, [&](const auto& f) {
+                return core::detect_ktree_seq(sub.graph, td, d, f).found;
+              });
+            },
+            [&](const graph::InducedSubgraph& sub) {
+              return core::exact_tree_embedding(sub.graph, tree);
+            });
+        const auto got = core::peel_tree_embedding(g, tree, opt);
+        EXPECT_EQ(got, ref) << "n=" << g.num_vertices() << " k=" << k
+                            << " eps=" << eps << " l=" << bits;
+        if (got) {
+          ++found;
+          EXPECT_TRUE(core::validate_tree_embedding(g, tree, *got));
+        }
+      }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(tally.skippable, 0);
+  EXPECT_EQ(tally.skippable_yes, 0);
+}
+
+TEST(WitnessPeelGate, MotifMatchesUngatedReference) {
+  GateTally tally;
+  int found = 0;
+  for (const auto& g : gate_fixtures())
+    for (int k = 3; k <= 5; ++k)
+      for (const auto [eps, bits] : kGateCases) {
+        const auto colors = fixtures::draw_colors(
+            g.num_vertices(), 3, static_cast<std::uint64_t>(k));
+        std::vector<std::uint32_t> motif;
+        for (VertexId v : connected_sample(g, k)) motif.push_back(colors[v]);
+        ASSERT_EQ(static_cast<int>(motif.size()), k);
+        core::WitnessOptions opt;
+        opt.epsilon = eps;
+        opt.field_bits = bits;
+        opt.seed = 300 + static_cast<std::uint64_t>(k);
+        const auto ref = reference_peel(
+            g, opt.seed, k, true, tally,
+            [&](const graph::InducedSubgraph& sub, std::uint64_t seed) {
+              std::vector<std::uint32_t> c;
+              for (VertexId v : sub.to_original) c.push_back(colors[v]);
+              core::DetectOptions d;
+              d.k = k;
+              d.epsilon = eps;
+              d.seed = seed;
+              return with_gate_field(bits, [&](const auto& f) {
+                return core::detect_motif_seq(sub.graph, c, motif, d, f).found;
+              });
+            },
+            [&](const graph::InducedSubgraph& sub) {
+              std::vector<std::uint32_t> c;
+              for (VertexId v : sub.to_original) c.push_back(colors[v]);
+              return core::exact_motif(sub.graph, c, motif);
+            });
+        const auto got = core::peel_motif(g, colors, motif, opt);
+        EXPECT_EQ(got, ref) << "n=" << g.num_vertices() << " k=" << k
+                            << " eps=" << eps << " l=" << bits;
+        if (got) {
+          ++found;
+          EXPECT_TRUE(core::validate_motif(g, colors, motif, *got));
+        }
+      }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(tally.skippable, 0);
+  EXPECT_EQ(tally.skippable_yes, 0);
+}
+
+TEST(WitnessPeelGate, ConnectedSubgraphMatchesUngatedReference) {
+  GateTally tally;
+  int found = 0;
+  for (const auto& g : gate_fixtures())
+    for (int j = 3; j <= 5; ++j)
+      for (const auto [eps, bits] : kGateCases) {
+        const auto w = fixtures::draw_weights(g.num_vertices(),
+                                              static_cast<std::uint64_t>(j));
+        const auto sample = connected_sample(g, j);
+        ASSERT_EQ(static_cast<int>(sample.size()), j);
+        std::uint32_t z = 0;
+        for (VertexId v : sample) z += w[v];
+        core::WitnessOptions opt;
+        opt.epsilon = eps;
+        opt.field_bits = bits;
+        opt.seed = 400 + static_cast<std::uint64_t>(j);
+        auto sub_weights = [&](const graph::InducedSubgraph& sub) {
+          std::vector<std::uint32_t> sw;
+          for (VertexId v : sub.to_original) sw.push_back(w[v]);
+          return sw;
+        };
+        const auto ref = reference_peel(
+            g, opt.seed, j, true, tally,
+            [&](const graph::InducedSubgraph& sub, std::uint64_t seed) {
+              core::ScanOptions s;
+              s.k = j;
+              s.epsilon = eps;
+              s.seed = seed;
+              s.watch_j = j;
+              s.watch_z = z;
+              return with_gate_field(bits, [&](const auto& f) {
+                return core::detect_scan_seq(sub.graph, sub_weights(sub), s, f)
+                    .at(j, z);
+              });
+            },
+            [&](const graph::InducedSubgraph& sub) {
+              return core::exact_connected_subgraph(sub.graph,
+                                                    sub_weights(sub), j, z);
+            });
+        const auto got = core::peel_connected_subgraph(g, w, j, z, opt);
+        EXPECT_EQ(got, ref) << "n=" << g.num_vertices() << " j=" << j
+                            << " eps=" << eps << " l=" << bits;
+        if (got) {
+          ++found;
+          EXPECT_TRUE(core::validate_connected_subgraph(g, w, j, z, *got));
+        }
+      }
+  EXPECT_GT(found, 0);
+  EXPECT_GT(tally.skippable, 0);
+  EXPECT_EQ(tally.skippable_yes, 0);
 }
 
 }  // namespace

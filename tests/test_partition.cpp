@@ -171,6 +171,50 @@ TEST(Multilevel, DeterministicPerSeed) {
   EXPECT_EQ(a.owner, b2.owner);
 }
 
+/// FNV-1a over the owner vector: a compact fingerprint of one partition.
+std::uint64_t owner_hash(const Partition& p) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (int o : p.owner) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(o));
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Multilevel, GoldenOwnersOnServiceSizedGraphs) {
+  // The partitions the service builds (and every view, halo plan and vclock
+  // downstream of them) must not drift when the partitioner's internals
+  // change. Hashes recorded from the hash-map coarsening that preceded the
+  // dense accumulator (parts 1..4 per row):
+  //   gnp  4000 (avg deg 5, seed 41): 4c6aa4454ec4bf03 fc48d0c4d6306be0
+  //                                   05af23c9fab124ca 82fea88b2ce6f875
+  //   road 4000 (keep 0.9, seed 42):  4c6aa4454ec4bf03 35228752ee7eef1c
+  //                                   d01cfeb92ada577f 1742b7bddc158e58
+  //   ba   4000 (attach 2, seed 43):  4c6aa4454ec4bf03 9e4b7c572a4b8f94
+  //                                   71eb228326707b3b af64a86be8654d3d
+  // At one part every row is the hash of 4000 zero owners.
+  Xoshiro256 r1(41), r2(42), r3(43);
+  const Graph graphs[3] = {graph::erdos_renyi_gnp(4000, 5.0 / 3999, r1),
+                           graph::road_network(4000, 0.9, r2),
+                           graph::barabasi_albert(4000, 2, r3)};
+  const std::uint64_t golden[3][4] = {
+      {0x4c6aa4454ec4bf03, 0xfc48d0c4d6306be0, 0x05af23c9fab124ca,
+       0x82fea88b2ce6f875},
+      {0x4c6aa4454ec4bf03, 0x35228752ee7eef1c, 0xd01cfeb92ada577f,
+       0x1742b7bddc158e58},
+      {0x4c6aa4454ec4bf03, 0x9e4b7c572a4b8f94, 0x71eb228326707b3b,
+       0xaf64a86be8654d3d},
+  };
+  for (int gi = 0; gi < 3; ++gi)
+    for (int parts = 1; parts <= 4; ++parts) {
+      const auto p = multilevel_partition(graphs[gi], parts);
+      check_partition_invariants(graphs[gi], p);
+      EXPECT_EQ(owner_hash(p), golden[gi][parts - 1])
+          << "graph " << gi << " parts " << parts << " hash 0x" << std::hex
+          << owner_hash(p);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // PartView / halo plans
 // ---------------------------------------------------------------------------
