@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/detect_seq.hpp"
@@ -45,8 +46,8 @@ namespace midas::core {
 
 /// Durable-progress configuration (runtime/checkpoint.hpp). With a
 /// non-empty `dir`, every driver snapshots its state at round boundaries
-/// (and, for the clean k-path engine, optionally every `every_waves` phase
-/// waves within a round); `resume = true` restores the newest verified
+/// (and, on unsupervised runs, optionally every `every_waves` phase waves
+/// within a round); `resume = true` restores the newest verified
 /// snapshot and continues from it, reproducing the uninterrupted run's
 /// results bit-exactly. Snapshot rendezvous are charge-free, so enabling
 /// checkpoints never changes virtual clocks or the fault schedule.
@@ -152,8 +153,8 @@ struct MidasOptions {
   Kernel kernel = Kernel::kAuto;
   runtime::CostModel model{};
   // Fault injection & supervision (docs/RESILIENCE.md). Supervision is
-  // forced on whenever the plan is non-empty; the k-path engine then runs
-  // its vote/redo failover protocol and masks any failure that leaves at
+  // forced on whenever the plan is non-empty; every engine then runs the
+  // vote/redo failover protocol and masks any failure that leaves at
   // least one intact phase group. spmd.watchdog arms the straggler
   // deadline (and, with speculate, engine-level re-execution of a
   // straggling phase group on the fast replicas).
@@ -184,34 +185,6 @@ struct MidasResult {
 };
 
 namespace detail {
-
-/// Supervision implied by a non-empty fault plan or armed speculation
-/// (straggler re-execution needs the supervised vote/redo machinery).
-[[nodiscard]] inline runtime::SpmdOptions effective_spmd(
-    const MidasOptions& opt) {
-  runtime::SpmdOptions sopt = opt.spmd;
-  if (!sopt.faults.empty()) sopt.supervise = true;
-  if (sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0)
-    sopt.supervise = true;
-  return sopt;
-}
-
-/// Decide scalar vs bitsliced for a driver (the parallel twin of
-/// detail_seq::use_bitsliced, with the typed options error). The weighted
-/// k-path driver is scalar-only and ignores the request.
-template <typename F>
-[[nodiscard]] inline bool par_use_bitsliced(const F& f, Kernel kernel) {
-  if constexpr (gf::Bitsliceable<F>) {
-    if (kernel == Kernel::kScalar) return false;
-    return f.bits() <= 16;
-  } else {
-    (void)f;
-    require_options(kernel != Kernel::kBitsliced,
-                    "kernel=bitsliced requires a GF(2^l) field with l <= 16 "
-                    "that exposes modulus() (GF256 or GFSmall)");
-    return false;
-  }
-}
 
 /// Fingerprint of everything a snapshot's validity depends on: the engine,
 /// the detection parameters, the rank/phase geometry, the execution mode
@@ -250,9 +223,7 @@ template <typename F>
   return runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(w)));
 }
 
-/// Host-side checkpoint bookkeeping for one driver invocation. The staged
-/// snapshot is filled inside a snapshot_sync callback (every peer parked)
-/// and persisted by world rank 0 immediately after the rendezvous.
+/// Host-side checkpoint bookkeeping for one engine run.
 struct CheckpointSession {
   std::optional<runtime::CheckpointStore> store;
   runtime::RoundCheckpoint loaded;  // meaningful when `resumed`
@@ -267,7 +238,7 @@ struct CheckpointSession {
 /// and sanity-check the newest good snapshot, wiring its world state into
 /// `sopt.resume`. `driver_bytes_per_round` is the driver_state stride;
 /// `wave_accum_bytes` is the per-rank accumulator size for mid-round
-/// snapshots (0 = this driver cannot resume mid-round).
+/// snapshots (0 = this mode cannot resume mid-round).
 inline CheckpointSession open_checkpoints(const MidasOptions& opt,
                                           runtime::SpmdOptions& sopt,
                                           std::uint64_t config_hash,
@@ -299,7 +270,7 @@ inline CheckpointSession open_checkpoints(const MidasOptions& opt,
   if (ck->phase_waves_done > 0) {
     if (wave_accum_bytes == 0)
       throw runtime::CheckpointError(
-          "mid-round snapshot is not resumable by this driver/mode");
+          "mid-round snapshot is not resumable by a supervised run");
     if (ck->accum.size() != nranks)
       throw runtime::CheckpointError("snapshot accumulator arity mismatch");
     for (const auto& a : ck->accum)
@@ -313,37 +284,6 @@ inline CheckpointSession open_checkpoints(const MidasOptions& opt,
   cs.loaded = std::move(*ck);
   cs.resumed = true;
   return cs;
-}
-
-/// Collective snapshot capture + persist. All world ranks call with the
-/// same arguments; any accumulator staging slots must have been written by
-/// their owning ranks beforehand. Nothing is written if any rank already
-/// failed — a consistent world is a precondition for a resumable one.
-template <typename DriverStateFn>
-void take_snapshot(runtime::Comm& world, CheckpointSession& cs,
-                   std::uint64_t config_hash, int next_round,
-                   std::uint64_t waves_done,
-                   const std::vector<std::uint64_t>& rng_state,
-                   const std::vector<std::vector<std::uint8_t>>& accum_stage,
-                   DriverStateFn&& driver_state) {
-  MIDAS_TRACE_SPAN("checkpoint.snapshot", {"next_round", next_round});
-  world.snapshot_sync([&] {
-    cs.staged_ok = false;
-    if (!world.failed_world_ranks().empty()) return;
-    cs.staged.config_hash = config_hash;
-    cs.staged.next_round = static_cast<std::uint32_t>(next_round);
-    cs.staged.phase_waves_done = waves_done;
-    cs.staged.driver_state = driver_state();
-    cs.staged.accum = accum_stage;
-    cs.staged.vclocks = world.world_vclocks();
-    cs.staged.events = world.world_event_counts();
-    cs.staged.stats = world.world_stats_snapshot();
-    cs.staged.rng_state = rng_state;
-    cs.staged_ok = true;
-  });
-  // Only one rank touches the disk; peers that raced ahead will park at
-  // the next rendezvous until the write returns.
-  if (world.rank() == 0 && cs.staged_ok) (void)cs.store->write(cs.staged);
 }
 
 /// Lanes of the failure-view vote: every rank contributes the hash of its
@@ -581,79 +521,121 @@ void accumulate_level(const F& f, const std::vector<typename F::value_type>& val
   for (std::size_t idx = 0; idx < count; ++idx) total = f.add(total, vals[idx]);
 }
 
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
-// k-path
+// The phase engine
 // ---------------------------------------------------------------------------
 
-namespace detail {
+/// What a recurrence tells the phase engine about itself.
+struct Recurrence {
+  std::uint64_t tag = 0;    // engine tag in the snapshot fingerprint
+  std::uint64_t extra = 0;  // fingerprint of the recurrence's own inputs
+  std::size_t acc_len = 1;  // accumulator slots per rank
+  // A nonzero round ends the query under opt.early_exit (the decision
+  // engines); the table engines run every round.
+  bool stops_on_found = true;
+  bool bitsliced = true;  // the recurrence has a bit-sliced phase body
+};
 
-/// Shared k-path engine: runs the distributed walk DP over prebuilt part
-/// views. Undirected and directed fronts build their views differently
-/// (symmetric halos vs in-neighbor halos) but share everything else.
-template <gf::GaloisField F>
-MidasResult kpath_engine(const std::vector<partition::PartView>& views,
-                         const MidasOptions& opt, const F& f) {
+/// A rank's seat in a phase-engine run, handed to the recurrence.
+struct PhaseRank {
+  runtime::Comm& world;
+  runtime::Comm& group;             // this rank's phase group
+  const partition::PartView& view;  // the graph part this rank owns
+  const gf::BitslicedGF* bs;        // set iff the bit-sliced kernel runs
+};
+
+/// Bit-sliced phase body of a recurrence that has none.
+struct ScalarOnly {};
+
+/// What a phase-engine run leaves on the host: the result record and one
+/// found byte per (round, accumulator slot).
+struct PhaseEngineRun {
+  MidasResult result;
+  std::vector<std::uint8_t> cells;  // cells[round * acc_len + slot]
+};
+
+/// The distributed phase engine (paper Section IV, Fig. 1), shared by every
+/// recurrence. `rank_body(pr, rounds)` runs once per rank: it builds the
+/// recurrence's per-rank state and calls rounds(begin_round, phase,
+/// phase_bs). begin_round(round) does the per-round hashing;
+/// phase(q0, batch, acc) and phase_bs(bs, q0, batch, acc) evaluate the
+/// phase of iterations [q0, q0 + batch) and XOR it into the rank's
+/// accumulator `acc` (a std::span of rec.acc_len values). Pass
+/// ScalarOnly{} when the recurrence has no bit-sliced body (and set
+/// rec.bitsliced = false).
+///
+/// The engine owns the rest: geometry checks, the schedule, the kernel
+/// choice, the checkpoint session, the wave loop and its spans, the
+/// supervised vote/redo and watchdog protocol, the XOR allreduce, the
+/// found cells and the result record. XOR makes a phase self-inverse:
+/// running it twice removes its contribution again, which is how failover
+/// moves phases between groups without a separate "undo" path.
+template <gf::GaloisField F, typename RankBody>
+PhaseEngineRun run_phase_engine(const std::vector<partition::PartView>& views,
+                                const MidasOptions& opt, const F& f,
+                                const Recurrence& rec, RankBody&& rank_body) {
   using V = typename F::value_type;
   require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
                       opt.n_ranks % opt.n1 == 0,
                   "N1 must divide N (phase groups need N/N1 whole replicas)");
   const Schedule sched =
       make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-  if (opt.rand_tables != nullptr)
-    require_options(opt.rand_tables->seed == opt.seed &&
-                        opt.rand_tables->k == opt.k &&
-                        opt.rand_tables->parts ==
-                            static_cast<int>(views.size()) &&
-                        opt.rand_tables->rounds >= opt.rounds(),
-                    "rand_tables do not match this run's "
-                    "(seed, k, parts, rounds)");
+  // Kernel choice (the parallel twin of detail_seq::use_bitsliced): auto
+  // takes the bit-sliced kernel wherever the field and recurrence have one.
+  require_options(rec.bitsliced || opt.kernel != Kernel::kBitsliced,
+                  "kernel=bitsliced: this engine has no bit-sliced phase");
+  bool bitsliced = false;
+  if constexpr (gf::Bitsliceable<F>)
+    bitsliced = rec.bitsliced && opt.kernel != Kernel::kScalar &&
+                f.bits() <= 16;
+  else
+    require_options(opt.kernel != Kernel::kBitsliced,
+                    "kernel=bitsliced requires a GF(2^l) field with l <= 16 "
+                    "that exposes modulus() (GF256 or GFSmall)");
+  const int rounds = opt.rounds();
+  const std::size_t A = rec.acc_len;
+  const bool stops = rec.stops_on_found && opt.early_exit;
 
-  MidasResult result;
+  PhaseEngineRun run;
+  MidasResult& result = run.result;
   Timer wall;
-  // Shared flags written once per round under an allreduce barrier. Atomic
-  // because on the supervised path every survivor records (idempotently):
-  // a single designated writer could be killed between the failure vote
-  // and its write, silently losing the round.
-  std::vector<std::atomic<int>> round_found(
-      static_cast<std::size_t>(opt.rounds()));
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
+  // Found cells, written under an allreduce barrier. Atomic because on the
+  // supervised path every survivor records (idempotently): a single
+  // designated writer could be killed between the failure vote and its
+  // write, silently losing the round.
+  std::vector<std::atomic<std::uint8_t>> found(
+      static_cast<std::size_t>(rounds) * A);
+  // Supervision is implied by a non-empty fault plan or armed speculation
+  // (straggler re-execution needs the supervised vote/redo machinery).
+  runtime::SpmdOptions sopt = opt.spmd;
+  const bool speculate =
+      sopt.watchdog.speculate && sopt.watchdog.deadline_s > 0.0;
+  if (!sopt.faults.empty() || speculate) sopt.supervise = true;
 
   // Checkpointing. The fingerprint covers the execution mode because the
   // supervised protocol charges different virtual time than the clean
-  // path: a snapshot resumes only into the mode that wrote it.
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6b70617468ULL /* "kpath" */, opt, sopt, sizeof(V),
-      views);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
+  // path: a snapshot resumes only into the mode that wrote it. The driver
+  // state is the found cells of the completed rounds.
+  const std::uint64_t chash =
+      config_fingerprint(rec.tag, opt, sopt, sizeof(V), views, rec.extra);
+  CheckpointSession cs = open_checkpoints(
+      opt, sopt, chash, /*driver_bytes_per_round=*/A,
       // Mid-round (wave) resume exists only on the clean path; supervised
       // snapshots are always taken at round boundaries.
-      /*wave_accum_bytes=*/sopt.supervise ? 0 : sizeof(V));
+      /*wave_accum_bytes=*/sopt.supervise ? 0 : A * sizeof(V));
   const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
                                      : 0;
   const std::uint64_t start_wave = cs.resumed ? cs.loaded.phase_waves_done
                                               : 0;
   if (cs.resumed) {
     result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < cs.loaded.driver_state.size(); ++i)
+      found[i] = cs.loaded.driver_state[i];
   }
   // Per-rank accumulator staging for mid-round snapshots: slot r is
   // written only by world rank r before the snapshot rendezvous reads it.
   std::vector<std::vector<std::uint8_t>> accum_stage(
       static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
-  };
 
   auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
                                 [&](runtime::Comm& world) {
@@ -667,9 +649,381 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
     // Setup done: on a resumed run, overwrite the re-charged setup state
     // with the snapshot's (no-op otherwise).
     world.resume_sync();
+    std::optional<gf::BitslicedGF> bse;
+    if constexpr (gf::Bitsliceable<F>) {
+      if (bitsliced) bse.emplace(f);
+    }
     // The part a rank owns is fixed by its world rank — never by its rank
     // in `group`, which shifts when the split excluded a dead member.
-    const auto& view = views[static_cast<std::size_t>(world.rank() % opt.n1)];
+    const PhaseRank pr{world, group,
+                       views[static_cast<std::size_t>(world.rank() % opt.n1)],
+                       bse ? &*bse : nullptr};
+
+    rank_body(pr, [&](auto&& begin_round, auto&& phase_scalar,
+                      auto&& phase_bs) {
+      auto compute_phase = [&](std::uint64_t phase, std::span<V> acc) {
+        MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
+                                   : "engine.phase.scalar",
+                         {"phase", static_cast<std::int64_t>(phase)});
+        [[maybe_unused]] const double vt0 = world.vclock();
+        const auto [q0, q1] = sched.phase_range(phase);
+        if constexpr (gf::Bitsliceable<F> &&
+                      !std::is_same_v<std::decay_t<decltype(phase_bs)>,
+                                      ScalarOnly>) {
+          if (bitsliced)
+            phase_bs(*bse, q0, q1 - q0, acc);
+          else
+            phase_scalar(q0, q1 - q0, acc);
+        } else {
+          phase_scalar(q0, q1 - q0, acc);
+        }
+        MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
+                            (world.vclock() - vt0) * 1e9);
+      };
+
+      std::vector<V> acc(A), reduced(A);
+      // The phases whose contributions are folded into `acc` this round.
+      std::vector<std::uint64_t> have;
+      // Contribute exactly nothing (again) this round.
+      auto drop = [&] {
+        std::fill(acc.begin(), acc.end(), f.zero());
+        have.clear();
+      };
+      // The XOR allreduce of every rank's accumulator (the paper's
+      // MPIREDUCE per round).
+      auto reduce = [&] {
+        reduced = acc;
+        world.allreduce<V>(std::span<V>(reduced),
+                           [&f](V& a, const V& b) { a = f.add(a, b); });
+      };
+      auto hit = [&] {
+        return std::any_of(reduced.begin(), reduced.end(),
+                           [&f](const V& x) { return x != f.zero(); });
+      };
+      auto record = [&](int round) {
+        for (std::size_t i = 0; i < A; ++i)
+          if (reduced[i] != f.zero())
+            found[static_cast<std::size_t>(round) * A + i] = 1;
+      };
+      // Collective snapshot: a round-boundary one (waves_done = 0) or a
+      // mid-round one that carries every rank's accumulator. The staged
+      // snapshot is filled inside the rendezvous (every peer parked) and
+      // persisted by world rank 0 right after it. Nothing is written if any
+      // rank already failed — a consistent world is a precondition for a
+      // resumable one.
+      auto snapshot = [&](int next_round, std::uint64_t waves_done) {
+        MIDAS_TRACE_SPAN("checkpoint.snapshot", {"next_round", next_round});
+        auto& slot = accum_stage[static_cast<std::size_t>(world.rank())];
+        slot.clear();
+        if (waves_done > 0) {
+          slot.resize(A * sizeof(V));
+          std::memcpy(slot.data(), acc.data(), A * sizeof(V));
+        }
+        world.snapshot_sync([&] {
+          cs.staged_ok = false;
+          if (!world.failed_world_ranks().empty()) return;
+          cs.staged.config_hash = chash;
+          cs.staged.next_round = static_cast<std::uint32_t>(next_round);
+          cs.staged.phase_waves_done = waves_done;
+          cs.staged.driver_state.assign(
+              found.begin(),
+              found.begin() + static_cast<std::ptrdiff_t>(
+                                  static_cast<std::size_t>(next_round) * A));
+          cs.staged.accum = accum_stage;
+          cs.staged.vclocks = world.world_vclocks();
+          cs.staged.events = world.world_event_counts();
+          cs.staged.stats = world.world_stats_snapshot();
+          cs.staged.rng_state = opt.checkpoint.rng_state;
+          cs.staged_ok = true;
+        });
+        // Only one rank touches the disk; peers that raced ahead park at
+        // the next rendezvous until the write returns.
+        if (world.rank() == 0 && cs.staged_ok)
+          (void)cs.store->write(cs.staged);
+      };
+      // Fold in this group's phases of waves [w0, w1): wave w holds phase
+      // group_color + w*a. Walking uniform waves lets every rank hit an
+      // optional mid-round snapshot rendezvous (unsupervised runs only) in
+      // lockstep even though groups own unequal phase counts.
+      const std::uint64_t waves = sched.batches();
+      const bool wave_snapshots = cs.armed() && !world.supervised() &&
+                                  opt.checkpoint.every_waves > 0;
+      auto walk = [&](int round, std::uint64_t w0, std::uint64_t w1) {
+        for (std::uint64_t w = w0; w < w1; ++w) {
+          MIDAS_TRACE_SPAN("engine.wave",
+                           {"wave", static_cast<std::int64_t>(w)});
+          const std::uint64_t phase =
+              static_cast<std::uint64_t>(group_color) + w * sched.groups();
+          if (phase < sched.phases()) {
+            compute_phase(phase, acc);
+            have.push_back(phase);
+          }
+          if (wave_snapshots && w + 1 < waves &&
+              (w + 1) % opt.checkpoint.every_waves == 0)
+            snapshot(round, w + 1);
+        }
+      };
+      // Round-boundary snapshot cadence; uniform across ranks (the early-
+      // exit guard reads the shared allreduce result), which a collective
+      // rendezvous requires.
+      auto round_snapshot_due = [&](int done) {
+        return cs.armed() && done % opt.checkpoint.every_rounds == 0 &&
+               done < rounds && !(stops && hit());
+      };
+
+      for (int round = start_round; round < rounds; ++round) {
+        MIDAS_TRACE_SPAN("engine.round", {"round", round});
+        begin_round(round);
+        drop();
+
+        if (!world.supervised()) {
+          // Clean fast path: walk, then one XOR allreduce.
+          std::uint64_t w0 = 0;
+          if (round == start_round && start_wave > 0) {
+            // Mid-round resume: the restored accumulator already folds the
+            // first `start_wave` waves of this round.
+            w0 = start_wave;
+            std::memcpy(
+                acc.data(),
+                cs.loaded.accum[static_cast<std::size_t>(world.rank())].data(),
+                A * sizeof(V));
+          }
+          walk(round, w0, waves);
+          reduce();
+          record(round);
+          world.barrier();
+          if (round_snapshot_due(round + 1)) snapshot(round + 1, 0);
+          if (stops && hit()) break;
+          continue;
+        }
+
+        // Supervised: speculative compute, then the vote/redo protocol
+        // (docs/RESILIENCE.md). The round-level checkpoint is the
+        // per-round allreduce itself: completed rounds are never redone.
+        // A RankFailedError while walking means a group member died
+        // mid-round: this group's shares cannot be completed, so it drops
+        // them — intact groups recompute the whole set of its phases.
+        std::vector<int> slow_groups;
+        const bool watchdog_armed = speculate && sched.groups() > 1;
+        bool computing = group.size() == opt.n1 && !group.any_peer_failed();
+        if (watchdog_armed) {
+          // Probe wave: each intact group computes only its first owned
+          // phase, then every rank compares virtual clocks. A group lagging
+          // the fastest one by more than the deadline is voted a straggler
+          // and its phases are dealt to the fast groups below — the same
+          // redo path that covers dead groups (speculative re-execution).
+          if (computing) {
+            try {
+              walk(round, 0, 1);
+            } catch (const runtime::RankFailedError&) {
+              drop();
+              computing = false;
+            }
+          }
+          slow_groups =
+              world.straggling_groups(opt.n1, sopt.watchdog.deadline_s);
+          if (!slow_groups.empty())
+            MIDAS_TRACE_INSTANT(
+                "watchdog.straggler_vote",
+                {"slow_groups",
+                 static_cast<std::int64_t>(slow_groups.size())});
+          // A straggler stops speculating on its own phases; whether its
+          // probe contribution survives is decided uniformly in the vote
+          // loop (it does only when no fast group is left to take over).
+          if (std::binary_search(slow_groups.begin(), slow_groups.end(),
+                                 group_color))
+            computing = false;
+        }
+        if (computing) {
+          try {
+            walk(round, watchdog_armed ? 1 : 0, waves);
+          } catch (const runtime::RankFailedError&) {
+            drop();
+          }
+        }
+
+        std::uint64_t agreed = 0;
+        bool reduced_valid = false;
+        std::vector<int> agreed_failed;
+        while (true) {
+          // Vote on the failure view. The min/max result is shared, so the
+          // decision below is uniform across survivors — nobody can break
+          // out of the loop while a peer redoes, which would deadlock.
+          std::vector<int> failed = world.failed_world_ranks();
+          HashRange hr;
+          hr.lo = hr.hi = runtime::fnv1a(
+              std::as_bytes(std::span<const int>(failed)));
+          world.allreduce<HashRange>(
+              std::span<HashRange>(&hr, 1),
+              [](HashRange& a, const HashRange& b) {
+                a.lo = std::min(a.lo, b.lo);
+                a.hi = std::max(a.hi, b.hi);
+              });
+          if (hr.lo != hr.hi) continue;  // views diverged: re-read, re-vote
+          if (reduced_valid && hr.lo == agreed) break;  // stable: accept
+          agreed = hr.lo;
+          agreed_failed = std::move(failed);
+          MIDAS_TRACE_INSTANT(
+              "failover.vote",
+              {"round", round},
+              {"failed", static_cast<std::int64_t>(agreed_failed.size())});
+          MIDAS_TRACE_COUNT("failover.votes", 1);
+
+          std::vector<int> dead_groups, intact_groups;
+          for (int g = 0; g < sched.groups(); ++g) {
+            bool dead = false;
+            for (int s = 0; s < opt.n1 && !dead; ++s)
+              dead = std::binary_search(agreed_failed.begin(),
+                                        agreed_failed.end(), g * opt.n1 + s);
+            (dead ? dead_groups : intact_groups).push_back(g);
+          }
+          if (intact_groups.empty())
+            throw runtime::UnrecoverableFaultError(
+                "every phase group lost a member; no intact graph replica "
+                "left to recompute their phases");
+
+          // Donors hand their phases over; workers recompute them. Dead
+          // groups always donate. Straggling-but-intact groups donate too,
+          // unless *every* intact group straggles — then nobody is faster
+          // and the flag is moot. All inputs (dead/intact from the agreed
+          // vote, slow_groups from a shared allreduce) are uniform across
+          // survivors, so every rank reaches the same split.
+          std::vector<int> donor_groups = dead_groups;
+          std::vector<int> worker_groups = intact_groups;
+          if (!slow_groups.empty()) {
+            std::vector<int> fast;
+            std::set_difference(intact_groups.begin(), intact_groups.end(),
+                                slow_groups.begin(), slow_groups.end(),
+                                std::back_inserter(fast));
+            if (!fast.empty()) {
+              worker_groups = std::move(fast);
+              std::set_intersection(slow_groups.begin(), slow_groups.end(),
+                                    intact_groups.begin(),
+                                    intact_groups.end(),
+                                    std::back_inserter(donor_groups));
+              std::sort(donor_groups.begin(), donor_groups.end());
+            }
+          }
+
+          if (!std::binary_search(worker_groups.begin(), worker_groups.end(),
+                                  group_color)) {
+            // My group is incomplete (or voted a straggler): its
+            // contribution (including any phase shares already finished)
+            // is recomputed by the worker groups, so we must contribute
+            // exactly zero.
+            drop();
+          } else {
+            std::vector<std::uint64_t> want;
+            for (std::uint64_t phase = group_color; phase < sched.phases();
+                 phase += sched.groups())
+              want.push_back(phase);
+            const auto extra = failover_phases(sched, donor_groups,
+                                               worker_groups, group_color);
+            want.insert(want.end(), extra.begin(), extra.end());
+            std::sort(want.begin(), want.end());
+            std::vector<std::uint64_t> delta;
+            std::set_symmetric_difference(want.begin(), want.end(),
+                                          have.begin(), have.end(),
+                                          std::back_inserter(delta));
+            if (!delta.empty()) {
+              MIDAS_TRACE_INSTANT(
+                  "failover.redo",
+                  {"phases", static_cast<std::int64_t>(delta.size())});
+              MIDAS_TRACE_COUNT("failover.phases_redone", delta.size());
+            }
+            try {
+              // XOR self-inverse: phases entering `want` are added, phases
+              // leaving it are cancelled — both by the same computation.
+              for (std::uint64_t phase : delta) compute_phase(phase, acc);
+              have = std::move(want);
+            } catch (const runtime::RankFailedError&) {
+              drop();
+            }
+          }
+
+          reduce();
+          reduced_valid = true;
+          // Loop back to the vote: if a rank died before this allreduce
+          // completed, its contribution is missing — the next vote sees
+          // the changed view and redoes the reduction.
+        }
+
+        // Every survivor records the (shared, agreed) reduction. A single
+        // designated writer would be a correctness hole: kills fire at comm
+        // events, so the writer can die inside the very vote that the other
+        // ranks accepted — nobody would loop back to observe the death, and
+        // the round's found cells would be silently lost while the service
+        // retry layer sees a clean (wrong) completion.
+        record(round);
+        // Snapshot only failure-free rounds: `agreed_failed` is the voted
+        // (hence uniform) failure view, so all survivors skip or rendezvous
+        // together. A round completed via failover is still correct but its
+        // rank state is not a clean resume point — the next fault-free
+        // boundary snapshots instead.
+        if (agreed_failed.empty() && round_snapshot_due(round + 1))
+          snapshot(round + 1, 0);
+        if (stops && hit()) break;
+      }
+    });
+  });
+
+  // Failover masks any failure that leaves an intact group; if nobody
+  // survived to finish the rounds, surface the typed fault instead of
+  // returning an all-zero (silently wrong) answer.
+  if (static_cast<int>(spmd.failed_ranks.size()) == opt.n_ranks &&
+      spmd.first_error)
+    std::rethrow_exception(spmd.first_error);
+  result.wall_s = wall.elapsed_s();
+  result.vtime = spmd.makespan;
+  result.total_stats = spmd.total;
+  result.vclocks = spmd.vclocks;
+  result.failed_ranks = spmd.failed_ranks;
+  run.cells.assign(found.begin(), found.end());
+  for (int round = 0; round < rounds && !result.found; ++round) {
+    ++result.rounds_run;
+    for (std::size_t i = 0; i < A; ++i)
+      if (run.cells[static_cast<std::size_t>(round) * A + i]) {
+        result.found = true;
+        result.found_round = round;
+      }
+  }
+  if (!stops) result.rounds_run = rounds;
+  return run;
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// k-path
+// ---------------------------------------------------------------------------
+
+/// Distributed k-path detection over *pre-built* part views — the entry
+/// point for callers (the detection service, repeated-query sweeps) that
+/// amortize `build_part_views` across runs. The undirected and directed
+/// fronts below build their views differently (symmetric halos vs
+/// in-neighbor halos) and share this walk DP.
+template <gf::GaloisField F>
+MidasResult midas_kpath_views(const std::vector<partition::PartView>& views,
+                              const MidasOptions& opt, const F& f = F{}) {
+  using V = typename F::value_type;
+  detail::require_options(static_cast<int>(views.size()) == opt.n1,
+                          "views must have N1 parts");
+  const int k = opt.k;
+  if (opt.rand_tables != nullptr)
+    detail::require_options(opt.rand_tables->seed == opt.seed &&
+                                opt.rand_tables->k == opt.k &&
+                                opt.rand_tables->parts ==
+                                    static_cast<int>(views.size()) &&
+                                opt.rand_tables->rounds >= opt.rounds(),
+                            "rand_tables do not match this run's "
+                            "(seed, k, parts, rounds)");
+
+  const detail::Recurrence rec{.tag = 0x6b70617468ULL /* "kpath" */};
+  return detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
     const std::uint32_t nl = view.num_local();
     const std::uint32_t ng = view.num_ghosts();
 
@@ -683,25 +1037,16 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
     // they are and the scalar kernel does the transposes. With every
     // charge_* call mirroring the scalar kernel, clocks, messages,
     // snapshots, and the failover protocol are identical across kernels.
-    std::optional<gf::BitslicedGF> bse;
     gf::detail_bs::PerWord<gf::detail_bs::Planes> bcur_w, bnext_w, bghost_w,
         blive_w;
     std::vector<gf::BitslicedGF::Matrix> mats;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        mats.resize(static_cast<std::size_t>(k - 1) * nl);
-      }
-    }
+    if (pr.bs != nullptr) mats.resize(static_cast<std::size_t>(k - 1) * nl);
 
     // One phase of the walk DP: the N2-wide base case plus k-1
     // halo-exchanged inductive levels, XOR-accumulated into `total`.
-    // XOR makes this self-inverse: running the same phase twice removes
-    // its contribution again, which is how the failover protocol moves
-    // phases between groups without a separate "undo" path.
-    auto compute_phase_scalar = [&](std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
+    auto compute_phase_scalar = [&](std::uint64_t q0, std::size_t batch,
+                                    std::span<V> acc) {
+      V& total = acc[0];
       cur.assign(static_cast<std::size_t>(nl) * batch, f.zero());
       next.assign(static_cast<std::size_t>(nl) * batch, f.zero());
       ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
@@ -710,9 +1055,7 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
 
       // Memory model: each level streams the local adjacency plus the
       // active state arrays; the resident working set decides hot/cold.
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t state_bytes =
           (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
       const std::uint64_t working_set =
@@ -782,14 +1125,11 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
     // 64-lane blocks), liveness as parity masks, constant scaling as plane
     // matrices. Generic lambda so the body only instantiates for
     // Bitsliceable fields.
-    auto compute_phase_bs = [&](const auto& bs, std::uint64_t phase,
-                                V& total) {
+    auto compute_phase_bs = [&](const auto& bs, std::uint64_t q0,
+                                std::size_t batch, std::span<V> acc) {
+      V& total = acc[0];
       using BS = gf::BitslicedGF;
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t state_bytes =
           (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
       const std::uint64_t working_set =
@@ -869,26 +1209,7 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    auto compute_phase = [&](std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          compute_phase_bs(*bse, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      compute_phase_scalar(phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
+    auto begin_round = [&](int round) {
       if (opt.rand_tables != nullptr) {
         // Cached randomness: same hash values, precomputed once per
         // (seed, k) and shared across queries (see RandTables).
@@ -907,296 +1228,18 @@ MidasResult kpath_engine(const std::vector<partition::PartView>& views,
                 f, opt.seed, round, gid, static_cast<std::uint32_t>(j));
         }
       }
-      if constexpr (gf::Bitsliceable<F>) {
-        // Level coefficients are fixed per round: build their multiply
-        // matrices once, amortized over every phase and failover redo.
-        if (bitsliced)
-          for (int j = 2; j <= k; ++j)
-            for (std::uint32_t li = 0; li < nl; ++li)
-              mats[static_cast<std::size_t>(j - 2) * nl + li] =
-                  bse->matrix(static_cast<gf::BitslicedGF::value_type>(
-                      r[static_cast<std::size_t>(j - 1) * nl + li]));
-      }
-      V total = f.zero();
-      // Round-boundary snapshot cadence; uniform across ranks (the early-
-      // exit guard reads the shared allreduce result), which a collective
-      // rendezvous requires.
-      auto round_snapshot_due = [&](int done, bool found) {
-        return cs.armed() && done % opt.checkpoint.every_rounds == 0 &&
-               done < opt.rounds() && !(opt.early_exit && found);
-      };
-
-      if (!world.supervised()) {
-        // Clean fast path — identical collective sequence to the original
-        // engine (paper's MPIREDUCE per round). Phases are walked as
-        // uniform waves (wave w = phase group_color + w*a) so that every
-        // rank hits an optional mid-round snapshot rendezvous in lockstep
-        // even though groups own unequal phase counts.
-        std::uint64_t w0 = 0;
-        if (round == start_round && start_wave > 0) {
-          // Mid-round resume: the restored accumulator already folds the
-          // first `start_wave` waves of this round.
-          w0 = start_wave;
-          std::memcpy(&total,
-                      cs.loaded.accum[static_cast<std::size_t>(world.rank())]
-                          .data(),
-                      sizeof(V));
-        }
-        const std::uint64_t waves = sched.batches();
-        for (std::uint64_t w = w0; w < waves; ++w) {
-          MIDAS_TRACE_SPAN("engine.wave",
-                           {"wave", static_cast<std::int64_t>(w)});
-          const std::uint64_t phase =
-              static_cast<std::uint64_t>(group_color) + w * sched.groups();
-          if (phase < sched.phases()) compute_phase(phase, total);
-          if (cs.armed() && opt.checkpoint.every_waves > 0 &&
-              w + 1 < waves && (w + 1) % opt.checkpoint.every_waves == 0) {
-            auto& slot = accum_stage[static_cast<std::size_t>(world.rank())];
-            slot.resize(sizeof(V));
-            std::memcpy(slot.data(), &total, sizeof(V));
-            detail::take_snapshot(world, cs, chash, round, w + 1,
-                                  opt.checkpoint.rng_state, accum_stage,
-                                  [&] { return driver_state_upto(round); });
-          }
-        }
-        V buf = total;
-        world.allreduce<V>(std::span<V>(&buf, 1),
-                           [&f](V& a, const V& b) { a = f.add(a, b); });
-        if (world.rank() == 0 && buf != f.zero())
-          round_found[static_cast<std::size_t>(round)] = 1;
-        world.barrier();
-        if (round_snapshot_due(round + 1, buf != f.zero())) {
-          accum_stage[static_cast<std::size_t>(world.rank())].clear();
-          detail::take_snapshot(world, cs, chash, round + 1, 0,
-                                opt.checkpoint.rng_state, accum_stage,
-                                [&] { return driver_state_upto(round + 1); });
-        }
-        if (opt.early_exit && buf != f.zero()) break;
-        continue;
-      }
-
-      // Supervised: speculative compute, then the vote/redo protocol
-      // (docs/RESILIENCE.md). `have` lists the phases whose contributions
-      // are currently folded into `total` (the round-level checkpoint is
-      // the per-round allreduce itself: completed rounds are never redone).
-      std::vector<std::uint64_t> have;
-      std::vector<int> slow_groups;
-      const bool watchdog_armed = sopt.watchdog.speculate &&
-                                  sopt.watchdog.deadline_s > 0.0 &&
-                                  sched.groups() > 1;
-      bool computing = group.size() == opt.n1 && !group.any_peer_failed();
-      if (watchdog_armed) {
-        // Probe wave: each intact group computes only its first owned
-        // phase, then every rank compares virtual clocks. A group lagging
-        // the fastest one by more than the deadline is voted a straggler
-        // and its phases are dealt to the fast groups below — the same
-        // redo path that covers dead groups (speculative re-execution).
-        if (computing) {
-          try {
-            if (static_cast<std::uint64_t>(group_color) < sched.phases()) {
-              compute_phase(static_cast<std::uint64_t>(group_color), total);
-              have.push_back(static_cast<std::uint64_t>(group_color));
-            }
-          } catch (const runtime::RankFailedError&) {
-            total = f.zero();
-            have.clear();
-            computing = false;
-          }
-        }
-        slow_groups =
-            world.straggling_groups(opt.n1, sopt.watchdog.deadline_s);
-        if (!slow_groups.empty())
-          MIDAS_TRACE_INSTANT(
-              "watchdog.straggler_vote",
-              {"slow_groups",
-               static_cast<std::int64_t>(slow_groups.size())});
-        // A straggler stops speculating on its own phases; whether its
-        // probe contribution survives is decided uniformly in the vote
-        // loop (it does only when no fast group is left to take over).
-        if (std::binary_search(slow_groups.begin(), slow_groups.end(),
-                               group_color))
-          computing = false;
-      }
-      if (computing) {
-        const std::uint64_t first_own =
-            static_cast<std::uint64_t>(group_color) +
-            (watchdog_armed ? static_cast<std::uint64_t>(sched.groups())
-                            : 0u);
-        try {
-          for (std::uint64_t phase = first_own; phase < sched.phases();
-               phase += sched.groups()) {
-            compute_phase(phase, total);
-            have.push_back(phase);
-          }
-        } catch (const runtime::RankFailedError&) {
-          // A group member died mid-round: this group's shares cannot be
-          // completed, so discard them — intact groups recompute the
-          // whole set of our phases.
-          total = f.zero();
-          have.clear();
-        }
-      }
-
-      V reduced = f.zero();
-      std::uint64_t agreed = 0;
-      bool reduced_valid = false;
-      std::vector<int> agreed_failed;
-      while (true) {
-        // Vote on the failure view. The min/max result is shared, so the
-        // decision below is uniform across survivors — nobody can break
-        // out of the loop while a peer redoes, which would deadlock.
-        std::vector<int> failed = world.failed_world_ranks();
-        detail::HashRange hr;
-        hr.lo = hr.hi = runtime::fnv1a(
-            std::as_bytes(std::span<const int>(failed)));
-        world.allreduce<detail::HashRange>(
-            std::span<detail::HashRange>(&hr, 1),
-            [](detail::HashRange& a, const detail::HashRange& b) {
-              a.lo = std::min(a.lo, b.lo);
-              a.hi = std::max(a.hi, b.hi);
-            });
-        if (hr.lo != hr.hi) continue;  // views diverged: re-read, re-vote
-        if (reduced_valid && hr.lo == agreed) break;  // stable: accept
-        agreed = hr.lo;
-        agreed_failed = std::move(failed);
-        MIDAS_TRACE_INSTANT(
-            "failover.vote",
-            {"round", round},
-            {"failed", static_cast<std::int64_t>(agreed_failed.size())});
-        MIDAS_TRACE_COUNT("failover.votes", 1);
-
-        std::vector<int> dead_groups, intact_groups;
-        for (int g = 0; g < sched.groups(); ++g) {
-          bool dead = false;
-          for (int s = 0; s < opt.n1 && !dead; ++s)
-            dead = std::binary_search(agreed_failed.begin(),
-                                      agreed_failed.end(), g * opt.n1 + s);
-          (dead ? dead_groups : intact_groups).push_back(g);
-        }
-        if (intact_groups.empty())
-          throw runtime::UnrecoverableFaultError(
-              "every phase group lost a member; no intact graph replica "
-              "left to recompute their phases");
-
-        // Donors hand their phases over; workers recompute them. Dead
-        // groups always donate. Straggling-but-intact groups donate too,
-        // unless *every* intact group straggles — then nobody is faster
-        // and the flag is moot. All inputs (dead/intact from the agreed
-        // vote, slow_groups from a shared allreduce) are uniform across
-        // survivors, so every rank reaches the same split.
-        std::vector<int> donor_groups = dead_groups;
-        std::vector<int> worker_groups = intact_groups;
-        if (!slow_groups.empty()) {
-          std::vector<int> fast;
-          std::set_difference(intact_groups.begin(), intact_groups.end(),
-                              slow_groups.begin(), slow_groups.end(),
-                              std::back_inserter(fast));
-          if (!fast.empty()) {
-            worker_groups = std::move(fast);
-            std::set_intersection(slow_groups.begin(), slow_groups.end(),
-                                  intact_groups.begin(),
-                                  intact_groups.end(),
-                                  std::back_inserter(donor_groups));
-            std::sort(donor_groups.begin(), donor_groups.end());
-          }
-        }
-
-        if (!std::binary_search(worker_groups.begin(), worker_groups.end(),
-                                group_color)) {
-          // My group is incomplete (or voted a straggler): its
-          // contribution (including any phase shares already finished) is
-          // recomputed by the worker groups, so we must contribute
-          // exactly zero.
-          total = f.zero();
-          have.clear();
-        } else {
-          std::vector<std::uint64_t> want;
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups())
-            want.push_back(phase);
-          const auto extra = failover_phases(sched, donor_groups,
-                                             worker_groups, group_color);
-          want.insert(want.end(), extra.begin(), extra.end());
-          std::sort(want.begin(), want.end());
-          std::vector<std::uint64_t> delta;
-          std::set_symmetric_difference(want.begin(), want.end(),
-                                        have.begin(), have.end(),
-                                        std::back_inserter(delta));
-          if (!delta.empty()) {
-            MIDAS_TRACE_INSTANT(
-                "failover.redo",
-                {"phases", static_cast<std::int64_t>(delta.size())});
-            MIDAS_TRACE_COUNT("failover.phases_redone", delta.size());
-          }
-          try {
-            // XOR self-inverse: phases entering `want` are added, phases
-            // leaving it are cancelled — both by the same computation.
-            for (std::uint64_t phase : delta) compute_phase(phase, total);
-            have = std::move(want);
-          } catch (const runtime::RankFailedError&) {
-            total = f.zero();
-            have.clear();
-          }
-        }
-
-        reduced = total;
-        world.allreduce<V>(std::span<V>(&reduced, 1),
-                           [&f](V& a, const V& b) { a = f.add(a, b); });
-        reduced_valid = true;
-        // Loop back to the vote: if a rank died before this allreduce
-        // completed, its contribution is missing — the next vote sees the
-        // changed view and redoes the reduction.
-      }
-
-      // Every survivor records the (shared, agreed) reduction. A single
-      // designated writer would be a correctness hole: kills fire at comm
-      // events, so the writer can die inside the very vote that the other
-      // ranks accepted — nobody would loop back to observe the death, and
-      // the round's found bit would be silently lost while the service
-      // retry layer sees a clean (wrong) completion. Idempotent atomic
-      // stores of 1 make the recording death-proof instead.
-      if (reduced != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      // Snapshot only failure-free rounds: `agreed_failed` is the voted
-      // (hence uniform) failure view, so all survivors skip or rendezvous
-      // together. A round completed via failover is still correct but its
-      // rank state is not a clean resume point — the next fault-free
-      // boundary snapshots instead.
-      if (agreed_failed.empty() &&
-          round_snapshot_due(round + 1, reduced != f.zero())) {
-        accum_stage[static_cast<std::size_t>(world.rank())].clear();
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
-      }
-      if (opt.early_exit && reduced != f.zero()) break;
-    }
-  });
-
-  // Failover masks any failure that leaves an intact group; if nobody
-  // survived to finish the rounds, surface the typed fault instead of
-  // returning an all-zero (silently wrong) answer.
-  if (static_cast<int>(spmd.failed_ranks.size()) == opt.n_ranks &&
-      spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
-    ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
-      result.found = true;
-      result.found_round = round;
-      break;
-    }
-  }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+      // Level coefficients are fixed per round: build their multiply
+      // matrices once, amortized over every phase and failover redo.
+      if (pr.bs != nullptr)
+        for (int j = 2; j <= k; ++j)
+          for (std::uint32_t li = 0; li < nl; ++li)
+            mats[static_cast<std::size_t>(j - 2) * nl + li] =
+                pr.bs->matrix(static_cast<gf::BitslicedGF::value_type>(
+                    r[static_cast<std::size_t>(j - 1) * nl + li]));
+    };
+    rounds(begin_round, compute_phase_scalar, compute_phase_bs);
+  }).result;
 }
-
-}  // namespace detail
 
 /// Distributed k-path detection. `part` must have exactly opt.n1 parts.
 template <gf::GaloisField F>
@@ -1205,19 +1248,7 @@ MidasResult midas_kpath(const graph::Graph& g,
                         const MidasOptions& opt, const F& f = F{}) {
   detail::require_options(part.parts == opt.n1,
                           "partition must have N1 parts");
-  return detail::kpath_engine(partition::build_part_views(g, part), opt, f);
-}
-
-/// Distributed k-path detection over *pre-built* part views — the entry
-/// point for callers (the detection service, repeated-query sweeps) that
-/// amortize `build_part_views` across runs. Bit-identical to midas_kpath
-/// on the views built from the same (graph, partition).
-template <gf::GaloisField F>
-MidasResult midas_kpath_views(const std::vector<partition::PartView>& views,
-                              const MidasOptions& opt, const F& f = F{}) {
-  detail::require_options(static_cast<int>(views.size()) == opt.n1,
-                          "views must have N1 parts");
-  return detail::kpath_engine(views, opt, f);
+  return midas_kpath_views(partition::build_part_views(g, part), opt, f);
 }
 
 /// Distributed *directed* k-path detection: the same engine over
@@ -1228,8 +1259,7 @@ MidasResult midas_kpath_directed(const graph::DiGraph& g,
                                  const MidasOptions& opt, const F& f = F{}) {
   detail::require_options(part.parts == opt.n1,
                           "partition must have N1 parts");
-  return detail::kpath_engine(partition::build_dipart_views(g, part), opt,
-                              f);
+  return midas_kpath_views(partition::build_dipart_views(g, part), opt, f);
 }
 
 // ---------------------------------------------------------------------------
@@ -1246,14 +1276,7 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
   detail::require_options(static_cast<int>(views.size()) == opt.n1,
                           "views must have N1 parts");
   detail::require_options(td.k() == opt.k, "template size must equal opt.k");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
   const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
   const auto& subs = td.subtemplates();
 
   // Which subtemplates ever appear as a child2 (their values cross parts).
@@ -1262,58 +1285,23 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     if (sub.child1 >= 0)
       needs_exchange[static_cast<std::size_t>(sub.child2)] = true;
 
-  MidasResult result;
-  Timer wall;
-  std::vector<int> round_found(static_cast<std::size_t>(opt.rounds()), 0);
-  // No failover here (only the k-path engine masks failures), but faults
-  // still terminate with typed errors instead of hangs.
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-
   // The decomposition shape feeds the config fingerprint: resuming a
   // snapshot against a different template must be rejected.
-  std::uint64_t tmpl_hash = 0;
-  {
-    std::vector<std::uint64_t> tw;
-    tw.reserve(subs.size() * 3 + 1);
-    tw.push_back(static_cast<std::uint64_t>(td.root_id()));
-    for (const auto& sub : subs) {
-      tw.push_back(static_cast<std::uint64_t>(sub.child1));
-      tw.push_back(static_cast<std::uint64_t>(sub.child2));
-      tw.push_back(static_cast<std::uint64_t>(sub.template_vertex));
-    }
-    tmpl_hash =
-        runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(tw)));
-  }
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6b74726565ULL /* "ktree" */, opt, sopt, sizeof(V),
-      views, tmpl_hash);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
-  };
+  std::vector<std::uint64_t> tw{static_cast<std::uint64_t>(td.root_id())};
+  for (const auto& sub : subs)
+    tw.insert(tw.end(), {static_cast<std::uint64_t>(sub.child1),
+                         static_cast<std::uint64_t>(sub.child2),
+                         static_cast<std::uint64_t>(sub.template_vertex)});
+  const detail::Recurrence rec{
+      .tag = 0x6b74726565ULL /* "ktree" */,
+      .extra =
+          runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(tw)))};
 
-  auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
-                                [&](runtime::Comm& world) {
-    const int group_color = world.rank() / opt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % opt.n1);
-    world.resume_sync();
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
+  return detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
     const std::uint32_t nl = view.num_local();
     const std::uint32_t ng = view.num_ghosts();
 
@@ -1328,19 +1316,13 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     // Bit-sliced state: plane arrays mirror vals/ghost subtemplate by
     // subtemplate; halos are plane-native under both kernels (layout notes
     // in the k-path engine and docs/ALGORITHM.md section 6).
-    std::optional<gf::BitslicedGF> bse;
     gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bgh_w;
     gf::detail_bs::PerWord<gf::detail_bs::Planes> blive_w;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) bse.emplace(f);
-    }
 
-    auto run_phase_scalar = [&](std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+    auto run_phase_scalar = [&](std::uint64_t q0, std::size_t batch,
+                                std::span<V> acc) {
+      V& total = acc[0];
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(subs.size()) * nl *
                           batch * sizeof(V);
@@ -1406,13 +1388,11 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
     // the live lanes of each block, internal subtemplates do a lane-wise
     // multiply of the own chain against the neighbor sum. Charges and halo
     // bytes mirror the scalar kernel exactly.
-    auto run_phase_bs = [&](const auto& bs, std::uint64_t phase, V& total) {
+    auto run_phase_bs = [&](const auto& bs, std::uint64_t q0,
+                            std::size_t batch, std::span<V> acc) {
+      V& total = acc[0];
       using BS = gf::BitslicedGF;
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(subs.size()) * nl *
                           batch * sizeof(V);
@@ -1498,26 +1478,7 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    auto run_phase = [&](std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          run_phase_bs(*bse, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      run_phase_scalar(phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
+    auto begin_round = [&](int round) {
       for (std::uint32_t li = 0; li < nl; ++li)
         v[li] = v_vector(opt.seed, round, view.vertices[li], k);
       for (std::size_t s = 0; s < subs.size(); ++s) {
@@ -1527,43 +1488,9 @@ MidasResult midas_ktree_views(const std::vector<partition::PartView>& views,
           leafc[s][li] = field_coeff(f, opt.seed, round, view.vertices[li],
                                      static_cast<std::uint32_t>(s));
       }
-      V total = f.zero();
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups())
-        run_phase(phase, total);
-      V buf = total;
-      world.allreduce<V>(std::span<V>(&buf, 1),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0 && buf != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      world.barrier();
-      if (cs.armed() && (round + 1) % opt.checkpoint.every_rounds == 0 &&
-          round + 1 < opt.rounds() && !(opt.early_exit && buf != f.zero())) {
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
-      }
-      if (opt.early_exit && buf != f.zero()) break;
-    }
-  });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
-    ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
-      result.found = true;
-      result.found_round = round;
-      break;
-    }
-  }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+    };
+    rounds(begin_round, run_phase_scalar, run_phase_bs);
+  }).result;
 }
 
 /// Distributed k-tree detection for a template decomposition.
@@ -1587,7 +1514,8 @@ struct MidasScanResult {
   double wall_s = 0.0;
   runtime::CommStats total_stats;
   std::vector<double> vclocks;
-  int resumed_from_round = -1;  // snapshot round this run resumed at
+  std::vector<int> failed_ranks;  // world ranks lost to injected faults
+  int resumed_from_round = -1;    // snapshot round this run resumed at
 };
 
 /// Distributed (size, weight) feasibility for connected subgraphs — the
@@ -1607,407 +1535,306 @@ MidasScanResult midas_scan_views(
     detail::require_options(weights.size() == total_local,
                             "one weight per vertex required");
   }
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
   const int k = opt.k;
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
 
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weights, k);
   const std::uint32_t width = wmax + 1;
+
+  // The accumulator holds one sum per (j, z): accum[j * width + z].
+  const detail::Recurrence rec{
+      .tag = 0x7363616eULL /* "scan" */,
+      .extra = runtime::fnv1a(
+          std::as_bytes(std::span<const std::uint32_t>(weights))),
+      .acc_len = static_cast<std::size_t>(k + 1) * width,
+      .stops_on_found = false};
+
+  auto run = detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
+    const std::uint32_t nl = view.num_local();
+    const std::uint32_t ng = view.num_ghosts();
+
+    int round = 0;
+    std::vector<std::uint32_t> v(nl);
+    // vals[j][(li * width + z) * batch + b] — vertex-major so that one
+    // vertex's whole (weight x batch) block is a contiguous message
+    // payload; ghost mirrors the layout with ghost indices.
+    std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
+    std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
+    std::vector<V> scratch;
+    // c1[li]: base-case coefficient, hashed once per round and shared
+    // by every phase.
+    std::vector<V> c1(nl);
+
+    // Bit-sliced state: per-layer plane arrays with the same
+    // (vertex, weight) nesting; halos are plane-native under both
+    // kernels, one row per weight.
+    gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
+    gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
+
+    auto run_phase_scalar = [&](std::uint64_t q0, std::size_t batch,
+                                std::span<V> accum) {
+      for (int j = 1; j <= k; ++j) {
+        vals[static_cast<std::size_t>(j)].assign(
+            static_cast<std::size_t>(width) * nl * batch, f.zero());
+        ghost[static_cast<std::size_t>(j)].assign(
+            static_cast<std::size_t>(width) * ng * batch, f.zero());
+      }
+      scratch.assign(batch, f.zero());
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
+      const std::uint64_t working_set =
+          adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
+                          width * batch * sizeof(V);
+
+      // Base case.
+      auto& base = vals[1];
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = view.vertices[li];
+        V* row = base.data() +
+                 (static_cast<std::size_t>(li) * width +
+                  weights[gid]) *
+                     batch;
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto q = static_cast<std::uint32_t>(q0 + b);
+          row[b] = inner_product_odd(v[li], q) ? f.zero() : c1[li];
+        }
+      }
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+      detail::halo_exchange_scalar(group, view, f, width, batch, vals[1],
+                                   ghost[1]);
+
+      for (int j = 2; j <= k; ++j) {
+        auto& out = vals[static_cast<std::size_t>(j)];
+        std::uint64_t ops = 0;
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const graph::VertexId gid = view.vertices[li];
+          const auto begin = view.adj_offsets[li];
+          const auto end = view.adj_offsets[li + 1];
+          for (auto e = begin; e < end; ++e) {
+            const auto ref = view.adj[e];
+            const bool is_ghost = ref.is_ghost();
+            const std::uint32_t idx = ref.index();
+            const graph::VertexId u_gid =
+                is_ghost ? view.ghosts[idx] : view.vertices[idx];
+            const V sig =
+                sigma_coeff(f, opt.seed, round, gid, u_gid,
+                            static_cast<std::uint32_t>(j));
+            for (int j1 = 1; j1 <= j - 1; ++j1) {
+              const auto& own = vals[static_cast<std::size_t>(j1)];
+              const auto& oth_local =
+                  vals[static_cast<std::size_t>(j - j1)];
+              const auto& oth_ghost =
+                  ghost[static_cast<std::size_t>(j - j1)];
+              const V* oth_vertex =
+                  (is_ghost ? oth_ghost.data() : oth_local.data()) +
+                  static_cast<std::size_t>(idx) * width * batch;
+              const V* own_vertex =
+                  own.data() +
+                  static_cast<std::size_t>(li) * width * batch;
+              V* out_vertex =
+                  out.data() +
+                  static_cast<std::size_t>(li) * width * batch;
+              for (std::uint32_t z = 0; z < width; ++z) {
+                V* row = out_vertex + static_cast<std::size_t>(z) * batch;
+                // Convolve into a scratch row, then fold it in with a
+                // single row-wide scale by sig (one log lookup).
+                std::fill(scratch.begin(), scratch.end(), f.zero());
+                for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
+                  const V* a =
+                      own_vertex + static_cast<std::size_t>(z1) * batch;
+                  const V* bvals =
+                      oth_vertex +
+                      static_cast<std::size_t>(z - z1) * batch;
+                  gf::mul_add_rows(f, scratch.data(), a, bvals, batch);
+                }
+                gf::scale_add_row(f, row, sig, scratch.data(), batch);
+                ops += static_cast<std::uint64_t>(z + 1) * batch;
+              }
+            }
+          }
+        }
+        world.charge_compute(ops);
+        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+        if (j < k)
+          detail::halo_exchange_scalar(
+              group, view, f, width, batch,
+              vals[static_cast<std::size_t>(j)],
+              ghost[static_cast<std::size_t>(j)]);
+      }
+      // Accumulate per-(j,z) sums. As in the sequential detector,
+      // size-j sums only fold iterations q < 2^j (degree-j detection
+      // lives in the 2^j-element subgroup; folding all 2^k iterations
+      // would cancel every size < k).
+      for (int j = 1; j <= k; ++j) {
+        const std::uint64_t jlimit = std::uint64_t{1} << j;
+        if (q0 >= jlimit) continue;
+        const std::size_t bmax =
+            std::min<std::uint64_t>(batch, jlimit - q0);
+        const auto& layer = vals[static_cast<std::size_t>(j)];
+        V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const V* vertex_block =
+              layer.data() + static_cast<std::size_t>(li) * width * batch;
+          for (std::uint32_t z = 0; z < width; ++z) {
+            const V* row =
+                vertex_block + static_cast<std::size_t>(z) * batch;
+            for (std::size_t b = 0; b < bmax; ++b)
+              acc_row[z] = f.add(acc_row[z], row[b]);
+          }
+        }
+      }
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
+    };
+
+    // The same phase, bit-sliced, folded neighbour-first at fixed width
+    // (core/layered_fold.hpp). Per edge, one sigma matrix apply per
+    // non-zero neighbour block builds N[j1][z'] = sum_u sigma *
+    // b_u[j - j1][z']; per vertex, the weight convolution out[z] ^=
+    // a_v[j1][z1] * N[j1][z - z1] pays the lane-wise multiplies once
+    // instead of once per edge. The scalar kernel's per-edge order
+    // regroups into this exactly by distributivity. Charges and halo
+    // bytes mirror the scalar kernel exactly.
+    auto run_phase_bs = [&](const auto& bs, std::uint64_t q0,
+                            std::size_t batch, std::span<V> accum) {
+      using BS = gf::BitslicedGF;
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
+      const std::uint64_t working_set =
+          adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
+                          width * batch * sizeof(V);
+
+      gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
+        using W = typename decltype(wt)::type;
+        constexpr int LC = decltype(lc)::value;
+        constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
+        const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
+        const std::size_t wpv = nblocks * LC;
+        const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
+        auto& bvals = bvals_w.get<W>();
+        auto& bghost = bghost_w.get<W>();
+        auto& fold = fold_w.get<W>();
+        bvals.resize(static_cast<std::size_t>(k) + 1);
+        bghost.resize(static_cast<std::size_t>(k) + 1);
+        for (int j = 1; j <= k; ++j) {
+          bvals[static_cast<std::size_t>(j)].assign(
+              static_cast<std::size_t>(nl) * wrow, 0);
+          bghost[static_cast<std::size_t>(j)].assign(
+              static_cast<std::size_t>(ng) * wrow, 0);
+        }
+        // Each boundary vertex ships its whole (weight x batch) block,
+        // one plane-native row per weight.
+        auto exchange_layer = [&](int j) {
+          detail::halo_exchange_planes(
+              group, view, bs, width, batch,
+              bvals[static_cast<std::size_t>(j)],
+              bghost[static_cast<std::size_t>(j)]);
+        };
+
+        // Base case: liveness parity masks, coefficient broadcast at
+        // the vertex's own weight.
+        auto& base = bvals[1];
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const graph::VertexId gid = view.vertices[li];
+          for (std::size_t blk = 0; blk < nblocks; ++blk)
+            BS::broadcast_w<LC>(
+                &base[static_cast<std::size_t>(li) * wrow +
+                      weights[gid] * wpv + blk * LC],
+                static_cast<BS::value_type>(c1[li]),
+                BS::live_mask<W>(v[li], q0 + blk * kLanes,
+                                 static_cast<int>(std::min(
+                                     kLanes, batch - blk * kLanes))));
+        }
+        world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+        exchange_layer(1);
+
+        for (int j = 2; j <= k; ++j) {
+          auto& out = bvals[static_cast<std::size_t>(j)];
+          fold.level(j, width, nblocks, wpv, LC);
+          for (std::uint32_t li = 0; li < nl; ++li) {
+            const std::size_t row = static_cast<std::size_t>(li) * wrow;
+            if (!fold.template vertex<LC>([&](int j1) {
+                  return bvals[static_cast<std::size_t>(j1)].data() + row;
+                }))
+              continue;  // every own block is zero: out stays zero
+            const graph::VertexId gid = view.vertices[li];
+            const auto begin = view.adj_offsets[li];
+            const auto end = view.adj_offsets[li + 1];
+            for (auto e = begin; e < end; ++e) {
+              const auto ref = view.adj[e];
+              const bool is_ghost = ref.is_ghost();
+              const std::uint32_t idx = ref.index();
+              const graph::VertexId u_gid =
+                  is_ghost ? view.ghosts[idx] : view.vertices[idx];
+              const BS::Matrix sig = bs.matrix(
+                  static_cast<BS::value_type>(sigma_coeff(
+                      f, opt.seed, round, gid, u_gid,
+                      static_cast<std::uint32_t>(j))));
+              fold.template neighbour<LC>(sig, [&](int j2) {
+                const auto& layer =
+                    is_ghost ? bghost[static_cast<std::size_t>(j2)]
+                             : bvals[static_cast<std::size_t>(j2)];
+                return layer.data() + static_cast<std::size_t>(idx) * wrow;
+              });
+            }
+            fold.template finish<LC>(bs, out.data() + row);
+          }
+          // Same logical work as the scalar kernel's (edge, j1, z, z1)
+          // sweep, in closed form.
+          const std::uint64_t ops =
+              view.adj.size() * static_cast<std::uint64_t>(j - 1) *
+              (static_cast<std::uint64_t>(width) * (width + 1) / 2) *
+              batch;
+          world.charge_compute(ops);
+          world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+          if (j < k) exchange_layer(j);
+        }
+        // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
+        for (int j = 1; j <= k; ++j) {
+          const std::uint64_t jlimit = std::uint64_t{1} << j;
+          if (q0 >= jlimit) continue;
+          const std::size_t bmax =
+              std::min<std::uint64_t>(batch, jlimit - q0);
+          const auto& layer = bvals[static_cast<std::size_t>(j)];
+          V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
+          for (std::uint32_t z = 0; z < width; ++z)
+            for (std::size_t blk = 0; blk * kLanes < bmax; ++blk) {
+              const auto m = static_cast<W>(gf::detail_bs::low_lanes(
+                  static_cast<int>(std::min(kLanes, bmax - blk * kLanes))));
+              acc_row[z] = f.add(
+                  acc_row[z],
+                  static_cast<V>(gf::fold_xor_rows<LC>(
+                      layer.data() + z * wpv + blk * LC, nl, wrow, m)));
+            }
+        }
+      });
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
+    };
+
+    auto begin_round = [&](int r) {
+      round = r;
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        v[li] = v_vector(opt.seed, round, view.vertices[li], k);
+        c1[li] = field_coeff(f, opt.seed, round, view.vertices[li], 1);
+      }
+    };
+    rounds(begin_round, run_phase_scalar, run_phase_bs);
+  });
 
   MidasScanResult result;
   result.table.k = k;
   result.table.max_weight = wmax;
   result.table.feasible.assign(static_cast<std::size_t>(k) + 1,
                                std::vector<bool>(width, false));
-  Timer wall;
-  // Per-round detection table gathered at world rank 0 via allreduce; one
-  // slot per (round, j, z). This is exactly the driver state a snapshot
-  // persists: one (k+1)*width stride per completed round.
-  const std::size_t round_stride =
-      static_cast<std::size_t>(k + 1) * width;
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(opt.rounds()) * round_stride, 0);
-
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x7363616eULL /* "scan" */, opt, sopt, sizeof(V), views,
-      runtime::fnv1a(std::as_bytes(std::span<const std::uint32_t>(weights))));
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/round_stride,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    std::copy(cs.loaded.driver_state.begin(), cs.loaded.driver_state.end(),
-              found_cells.begin());
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&found_cells, round_stride](int rounds_done) {
-    return std::vector<std::uint8_t>(
-        found_cells.begin(),
-        found_cells.begin() +
-            static_cast<std::ptrdiff_t>(
-                static_cast<std::size_t>(rounds_done) * round_stride));
-  };
-
-  runtime::SpmdResult spmd = runtime::run_spmd(
-      opt.n_ranks, opt.model, sopt,
-      [&](runtime::Comm& world) {
-        const int group_color = world.rank() / opt.n1;
-        runtime::Comm group =
-            world.split(group_color, world.rank() % opt.n1);
-        world.resume_sync();
-        const auto& view = views[static_cast<std::size_t>(group.rank())];
-        const std::uint32_t nl = view.num_local();
-        const std::uint32_t ng = view.num_ghosts();
-
-        std::vector<std::uint32_t> v(nl);
-        // vals[j][(li * width + z) * batch + b] — vertex-major so that one
-        // vertex's whole (weight x batch) block is a contiguous message
-        // payload; ghost mirrors the layout with ghost indices.
-        std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
-        std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
-        // accum[j][z]: XOR over phases/iterations of sum_i P(i,q,j,z).
-        std::vector<V> accum(static_cast<std::size_t>(k + 1) * width);
-        std::vector<V> scratch;
-        // c1[li]: base-case coefficient, hashed once per round and shared
-        // by every phase.
-        std::vector<V> c1(nl);
-
-        // Bit-sliced state: per-layer plane arrays with the same
-        // (vertex, weight) nesting; halos are plane-native under both
-        // kernels, one row per weight.
-        std::optional<gf::BitslicedGF> bse;
-        gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
-        gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
-        if constexpr (gf::Bitsliceable<F>) {
-          if (bitsliced) bse.emplace(f);
-        }
-
-        auto run_phase_scalar = [&](int round, std::uint64_t phase) {
-          const auto [q0, q1] = sched.phase_range(phase);
-          const std::size_t batch = q1 - q0;
-          for (int j = 1; j <= k; ++j) {
-            vals[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(width) * nl * batch, f.zero());
-            ghost[static_cast<std::size_t>(j)].assign(
-                static_cast<std::size_t>(width) * ng * batch, f.zero());
-          }
-          scratch.assign(batch, f.zero());
-          const std::uint64_t adj_bytes =
-              view.adj.size() * sizeof(partition::NbrRef) +
-              view.adj_offsets.size() * sizeof(std::uint64_t);
-          const std::uint64_t working_set =
-              adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
-                              width * batch * sizeof(V);
-
-          // Base case.
-          auto& base = vals[1];
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            V* row = base.data() +
-                     (static_cast<std::size_t>(li) * width +
-                      weights[gid]) *
-                         batch;
-            for (std::size_t b = 0; b < batch; ++b) {
-              const auto q = static_cast<std::uint32_t>(q0 + b);
-              row[b] = inner_product_odd(v[li], q) ? f.zero() : c1[li];
-            }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          detail::halo_exchange_scalar(group, view, f, width, batch, vals[1],
-                                       ghost[1]);
-
-          for (int j = 2; j <= k; ++j) {
-            auto& out = vals[static_cast<std::size_t>(j)];
-            std::uint64_t ops = 0;
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const auto begin = view.adj_offsets[li];
-              const auto end = view.adj_offsets[li + 1];
-              for (auto e = begin; e < end; ++e) {
-                const auto ref = view.adj[e];
-                const bool is_ghost = ref.is_ghost();
-                const std::uint32_t idx = ref.index();
-                const graph::VertexId u_gid =
-                    is_ghost ? view.ghosts[idx] : view.vertices[idx];
-                const V sig =
-                    sigma_coeff(f, opt.seed, round, gid, u_gid,
-                                static_cast<std::uint32_t>(j));
-                for (int j1 = 1; j1 <= j - 1; ++j1) {
-                  const auto& own = vals[static_cast<std::size_t>(j1)];
-                  const auto& oth_local =
-                      vals[static_cast<std::size_t>(j - j1)];
-                  const auto& oth_ghost =
-                      ghost[static_cast<std::size_t>(j - j1)];
-                  const V* oth_vertex =
-                      (is_ghost ? oth_ghost.data() : oth_local.data()) +
-                      static_cast<std::size_t>(idx) * width * batch;
-                  const V* own_vertex =
-                      own.data() +
-                      static_cast<std::size_t>(li) * width * batch;
-                  V* out_vertex =
-                      out.data() +
-                      static_cast<std::size_t>(li) * width * batch;
-                  for (std::uint32_t z = 0; z < width; ++z) {
-                    V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-                    // Convolve into a scratch row, then fold it in with a
-                    // single row-wide scale by sig (one log lookup).
-                    std::fill(scratch.begin(), scratch.end(), f.zero());
-                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                      const V* a =
-                          own_vertex + static_cast<std::size_t>(z1) * batch;
-                      const V* bvals =
-                          oth_vertex +
-                          static_cast<std::size_t>(z - z1) * batch;
-                      gf::mul_add_rows(f, scratch.data(), a, bvals, batch);
-                    }
-                    gf::scale_add_row(f, row, sig, scratch.data(), batch);
-                    ops += static_cast<std::uint64_t>(z + 1) * batch;
-                  }
-                }
-              }
-            }
-            world.charge_compute(ops);
-            world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-            if (j < k)
-              detail::halo_exchange_scalar(
-                  group, view, f, width, batch,
-                  vals[static_cast<std::size_t>(j)],
-                  ghost[static_cast<std::size_t>(j)]);
-          }
-          // Accumulate per-(j,z) sums. As in the sequential detector,
-          // size-j sums only fold iterations q < 2^j (degree-j detection
-          // lives in the 2^j-element subgroup; folding all 2^k iterations
-          // would cancel every size < k).
-          for (int j = 1; j <= k; ++j) {
-            const std::uint64_t jlimit = std::uint64_t{1} << j;
-            if (q0 >= jlimit) continue;
-            const std::size_t bmax =
-                std::min<std::uint64_t>(batch, jlimit - q0);
-            const auto& layer = vals[static_cast<std::size_t>(j)];
-            V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const V* vertex_block =
-                  layer.data() + static_cast<std::size_t>(li) * width * batch;
-              for (std::uint32_t z = 0; z < width; ++z) {
-                const V* row =
-                    vertex_block + static_cast<std::size_t>(z) * batch;
-                for (std::size_t b = 0; b < bmax; ++b)
-                  acc_row[z] = f.add(acc_row[z], row[b]);
-              }
-            }
-          }
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
-        };
-
-        // The same phase, bit-sliced, folded neighbour-first at fixed width
-        // (core/layered_fold.hpp). Per edge, one sigma matrix apply per
-        // non-zero neighbour block builds N[j1][z'] = sum_u sigma *
-        // b_u[j - j1][z']; per vertex, the weight convolution out[z] ^=
-        // a_v[j1][z1] * N[j1][z - z1] pays the lane-wise multiplies once
-        // instead of once per edge. The scalar kernel's per-edge order
-        // regroups into this exactly by distributivity. Charges and halo
-        // bytes mirror the scalar kernel exactly.
-        auto run_phase_bs = [&](const auto& bs, int round,
-                                std::uint64_t phase) {
-          using BS = gf::BitslicedGF;
-          const auto [q0, q1] = sched.phase_range(phase);
-          const std::size_t batch = q1 - q0;
-          const std::uint64_t adj_bytes =
-              view.adj.size() * sizeof(partition::NbrRef) +
-              view.adj_offsets.size() * sizeof(std::uint64_t);
-          const std::uint64_t working_set =
-              adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) *
-                              width * batch * sizeof(V);
-
-          gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
-            using W = typename decltype(wt)::type;
-            constexpr int LC = decltype(lc)::value;
-            constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
-            const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
-            const std::size_t wpv = nblocks * LC;
-            const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
-            auto& bvals = bvals_w.get<W>();
-            auto& bghost = bghost_w.get<W>();
-            auto& fold = fold_w.get<W>();
-            bvals.resize(static_cast<std::size_t>(k) + 1);
-            bghost.resize(static_cast<std::size_t>(k) + 1);
-            for (int j = 1; j <= k; ++j) {
-              bvals[static_cast<std::size_t>(j)].assign(
-                  static_cast<std::size_t>(nl) * wrow, 0);
-              bghost[static_cast<std::size_t>(j)].assign(
-                  static_cast<std::size_t>(ng) * wrow, 0);
-            }
-            // Each boundary vertex ships its whole (weight x batch) block,
-            // one plane-native row per weight.
-            auto exchange_layer = [&](int j) {
-              detail::halo_exchange_planes(
-                  group, view, bs, width, batch,
-                  bvals[static_cast<std::size_t>(j)],
-                  bghost[static_cast<std::size_t>(j)]);
-            };
-
-            // Base case: liveness parity masks, coefficient broadcast at
-            // the vertex's own weight.
-            auto& base = bvals[1];
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              for (std::size_t blk = 0; blk < nblocks; ++blk)
-                BS::broadcast_w<LC>(
-                    &base[static_cast<std::size_t>(li) * wrow +
-                          weights[gid] * wpv + blk * LC],
-                    static_cast<BS::value_type>(c1[li]),
-                    BS::live_mask<W>(v[li], q0 + blk * kLanes,
-                                     static_cast<int>(std::min(
-                                         kLanes, batch - blk * kLanes))));
-            }
-            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-            exchange_layer(1);
-
-            for (int j = 2; j <= k; ++j) {
-              auto& out = bvals[static_cast<std::size_t>(j)];
-              fold.level(j, width, nblocks, wpv, LC);
-              for (std::uint32_t li = 0; li < nl; ++li) {
-                const std::size_t row = static_cast<std::size_t>(li) * wrow;
-                if (!fold.template vertex<LC>([&](int j1) {
-                      return bvals[static_cast<std::size_t>(j1)].data() + row;
-                    }))
-                  continue;  // every own block is zero: out stays zero
-                const graph::VertexId gid = view.vertices[li];
-                const auto begin = view.adj_offsets[li];
-                const auto end = view.adj_offsets[li + 1];
-                for (auto e = begin; e < end; ++e) {
-                  const auto ref = view.adj[e];
-                  const bool is_ghost = ref.is_ghost();
-                  const std::uint32_t idx = ref.index();
-                  const graph::VertexId u_gid =
-                      is_ghost ? view.ghosts[idx] : view.vertices[idx];
-                  const BS::Matrix sig = bs.matrix(
-                      static_cast<BS::value_type>(sigma_coeff(
-                          f, opt.seed, round, gid, u_gid,
-                          static_cast<std::uint32_t>(j))));
-                  fold.template neighbour<LC>(sig, [&](int j2) {
-                    const auto& layer =
-                        is_ghost ? bghost[static_cast<std::size_t>(j2)]
-                                 : bvals[static_cast<std::size_t>(j2)];
-                    return layer.data() + static_cast<std::size_t>(idx) * wrow;
-                  });
-                }
-                fold.template finish<LC>(bs, out.data() + row);
-              }
-              // Same logical work as the scalar kernel's (edge, j1, z, z1)
-              // sweep, in closed form.
-              const std::uint64_t ops =
-                  view.adj.size() * static_cast<std::uint64_t>(j - 1) *
-                  (static_cast<std::uint64_t>(width) * (width + 1) / 2) *
-                  batch;
-              world.charge_compute(ops);
-              world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-              if (j < k) exchange_layer(j);
-            }
-            // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
-            for (int j = 1; j <= k; ++j) {
-              const std::uint64_t jlimit = std::uint64_t{1} << j;
-              if (q0 >= jlimit) continue;
-              const std::size_t bmax =
-                  std::min<std::uint64_t>(batch, jlimit - q0);
-              const auto& layer = bvals[static_cast<std::size_t>(j)];
-              V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-              for (std::uint32_t z = 0; z < width; ++z)
-                for (std::size_t blk = 0; blk * kLanes < bmax; ++blk) {
-                  const auto m = static_cast<W>(gf::detail_bs::low_lanes(
-                      static_cast<int>(std::min(kLanes, bmax - blk * kLanes))));
-                  acc_row[z] = f.add(
-                      acc_row[z],
-                      static_cast<V>(gf::fold_xor_rows<LC>(
-                          layer.data() + z * wpv + blk * LC, nl, wrow, m)));
-                }
-            }
-          });
-          world.charge_compute(static_cast<std::uint64_t>(nl) * batch * k);
-        };
-
-        auto run_phase = [&](int round, std::uint64_t phase) {
-          MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                     : "engine.phase.scalar",
-                           {"phase", static_cast<std::int64_t>(phase)});
-          [[maybe_unused]] const double vt0 = world.vclock();
-          if constexpr (gf::Bitsliceable<F>) {
-            if (bitsliced) {
-              run_phase_bs(*bse, round, phase);
-              MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                                  (world.vclock() - vt0) * 1e9);
-              return;
-            }
-          }
-          run_phase_scalar(round, phase);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-        };
-
-        for (int round = start_round; round < opt.rounds(); ++round) {
-          MIDAS_TRACE_SPAN("engine.round", {"round", round});
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            v[li] = v_vector(opt.seed, round, view.vertices[li], k);
-            c1[li] = field_coeff(f, opt.seed, round, view.vertices[li], 1);
-          }
-          std::fill(accum.begin(), accum.end(), f.zero());
-
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups())
-            run_phase(round, phase);
-          // Combine the accumulator across all ranks.
-          std::vector<V> buf(accum);
-          world.allreduce<V>(std::span<V>(buf),
-                             [&f](V& a, const V& b) { a = f.add(a, b); });
-          if (world.rank() == 0) {
-            for (int j = 1; j <= k; ++j)
-              for (std::uint32_t z = 0; z < width; ++z)
-                if (buf[static_cast<std::size_t>(j) * width + z] != f.zero())
-                  found_cells[(static_cast<std::size_t>(round) * (k + 1) +
-                               static_cast<std::size_t>(j)) *
-                                  width +
-                              z] = 1;
-          }
-          world.barrier();
-          if (cs.armed() &&
-              (round + 1) % opt.checkpoint.every_rounds == 0 &&
-              round + 1 < opt.rounds()) {
-            detail::take_snapshot(
-                world, cs, chash, round + 1, 0, opt.checkpoint.rng_state,
-                accum_stage, [&] { return driver_state_upto(round + 1); });
-          }
-        }
-      });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  for (int round = 0; round < opt.rounds(); ++round)
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (found_cells[(static_cast<std::size_t>(round) * (k + 1) +
-                         static_cast<std::size_t>(j)) *
-                            width +
-                        z])
-          result.table.feasible[static_cast<std::size_t>(j)][z] = true;
+  result.vtime = run.result.vtime;
+  result.wall_s = run.result.wall_s;
+  result.total_stats = run.result.total_stats;
+  result.vclocks = std::move(run.result.vclocks);
+  result.failed_ranks = std::move(run.result.failed_ranks);
+  result.resumed_from_round = run.result.resumed_from_round;
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    if (run.cells[i])
+      result.table.feasible[i % rec.acc_len / width][i % width] = true;
   return result;
 }
 
@@ -2032,11 +1859,11 @@ MidasScanResult midas_scan(const graph::Graph& g,
 
 /// Distributed Graph Motif detection over pre-built part views: the
 /// constrained sieve of core/motif.hpp on a scan-style layered DP (no
-/// weight axis), with the k-tree driver's round/checkpoint/allreduce shape.
-/// `colors` is indexed by *global* vertex id; `opt.k` must equal
-/// `motif.size()`. Halo payloads travel plane-native under both kernels
-/// (byte-identical), so checkpoints and the watchdog stay kernel-independent;
-/// answers are bit-identical to detect_motif_seq for the same seed.
+/// weight axis). `colors` is indexed by *global* vertex id; `opt.k` must
+/// equal `motif.size()`. Halo payloads travel plane-native under both
+/// kernels (byte-identical), so checkpoints and the watchdog stay
+/// kernel-independent; answers are bit-identical to detect_motif_seq for
+/// the same seed.
 template <gf::GaloisField F>
 MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
                               const std::vector<std::uint32_t>& colors,
@@ -2054,68 +1881,28 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
   detail::require_options(
       opt.k == static_cast<int>(motif.size()),
       "opt.k must equal the motif size (one shade per motif slot)");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
   const ShadePlan plan = make_shade_plan(colors, motif);
   const int k = plan.k;
-  const Schedule sched =
-      make_schedule(k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const bool bitsliced = detail::par_use_bitsliced(f, opt.kernel);
-
-  MidasResult result;
-  Timer wall;
-  std::vector<int> round_found(static_cast<std::size_t>(opt.rounds()), 0);
-  // No failover here (only the k-path engine masks failures), but faults
-  // still terminate with typed errors instead of hangs.
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
 
   // The colors and the motif multiset feed the config fingerprint: a
   // snapshot must not resume against a differently-colored input.
-  std::uint64_t cm_hash = 0;
-  {
-    std::vector<std::uint64_t> cw;
-    cw.reserve(colors.size() + motif.size() + 1);
-    cw.push_back(static_cast<std::uint64_t>(colors.size()));
-    for (const auto c : colors) cw.push_back(c);
-    for (const auto c : motif) cw.push_back(c);
-    cm_hash =
-        runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(cw)));
-  }
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x6d6f746966ULL /* "motif" */, opt, sopt, sizeof(V),
-      views, cm_hash);
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/1,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    for (int r = 0; r < start_round; ++r)
-      round_found[static_cast<std::size_t>(r)] =
-          cs.loaded.driver_state[static_cast<std::size_t>(r)];
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&round_found](int rounds_done) {
-    std::vector<std::uint8_t> s(static_cast<std::size_t>(rounds_done));
-    for (int r = 0; r < rounds_done; ++r)
-      s[static_cast<std::size_t>(r)] =
-          static_cast<std::uint8_t>(round_found[static_cast<std::size_t>(r)]);
-    return s;
-  };
+  std::vector<std::uint64_t> cw{colors.size()};
+  cw.insert(cw.end(), colors.begin(), colors.end());
+  cw.insert(cw.end(), motif.begin(), motif.end());
+  const detail::Recurrence rec{
+      .tag = 0x6d6f746966ULL /* "motif" */,
+      .extra =
+          runtime::fnv1a(std::as_bytes(std::span<const std::uint64_t>(cw)))};
 
-  auto spmd = runtime::run_spmd(opt.n_ranks, opt.model, sopt,
-                                [&](runtime::Comm& world) {
-    const int group_color = world.rank() / opt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % opt.n1);
-    world.resume_sync();
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
+  return detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
     const std::uint32_t nl = view.num_local();
     const std::uint32_t ng = view.num_ghosts();
 
+    int round = 0;
     // us[li * k + s] = u_{gid(li),s}, refreshed per round; ghost leaf
     // values arrive through the halo, never by recomputation.
     std::vector<V> us(static_cast<std::size_t>(nl) * k);
@@ -2125,20 +1912,14 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
 
     // Bit-sliced state: per-layer plane arrays; halos are plane-native
     // under both kernels.
-    std::optional<gf::BitslicedGF> bse;
     std::vector<gf::BitslicedGF::value_type> us16;
     gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
     gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
-    if constexpr (gf::Bitsliceable<F>) {
-      if (bitsliced) {
-        bse.emplace(f);
-        us16.resize(static_cast<std::size_t>(nl) * k);
-      }
-    }
+    if (pr.bs != nullptr) us16.resize(static_cast<std::size_t>(nl) * k);
 
-    auto run_phase_scalar = [&](int round, std::uint64_t phase, V& total) {
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
+    auto run_phase_scalar = [&](std::uint64_t q0, std::size_t batch,
+                                std::span<V> acc) {
+      V& total = acc[0];
       for (int j = 1; j <= k; ++j) {
         vals[static_cast<std::size_t>(j)].assign(
             static_cast<std::size_t>(nl) * batch, f.zero());
@@ -2146,9 +1927,7 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
             static_cast<std::size_t>(ng) * batch, f.zero());
       }
       scratch.assign(batch, f.zero());
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * batch *
                           sizeof(V);
@@ -2221,14 +2000,11 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
     // scalar kernel's per-edge sum sigma * sum_j1 a_v[j1] * b_u[j - j1]
     // regroups into exactly this by distributivity, so every field element
     // is unchanged. Charges and halo bytes mirror the scalar kernel exactly.
-    auto run_phase_bs = [&](const auto& bs, int round, std::uint64_t phase,
-                            V& total) {
+    auto run_phase_bs = [&](const auto& bs, std::uint64_t q0,
+                            std::size_t batch, std::span<V> acc) {
+      V& total = acc[0];
       using BS = gf::BitslicedGF;
-      const auto [q0, q1] = sched.phase_range(phase);
-      const std::size_t batch = q1 - q0;
-      const std::uint64_t adj_bytes =
-          view.adj.size() * sizeof(partition::NbrRef) +
-          view.adj_offsets.size() * sizeof(std::uint64_t);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
       const std::uint64_t working_set =
           adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * batch *
                           sizeof(V);
@@ -2317,26 +2093,8 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
       world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
     };
 
-    auto run_phase = [&](int round, std::uint64_t phase, V& total) {
-      MIDAS_TRACE_SPAN(bitsliced ? "engine.phase.bitsliced"
-                                 : "engine.phase.scalar",
-                       {"phase", static_cast<std::int64_t>(phase)});
-      [[maybe_unused]] const double vt0 = world.vclock();
-      if constexpr (gf::Bitsliceable<F>) {
-        if (bitsliced) {
-          run_phase_bs(*bse, round, phase, total);
-          MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                              (world.vclock() - vt0) * 1e9);
-          return;
-        }
-      }
-      run_phase_scalar(round, phase, total);
-      MIDAS_TRACE_OBSERVE("engine.phase_vtime_ns",
-                          (world.vclock() - vt0) * 1e9);
-    };
-
-    for (int round = start_round; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("engine.round", {"round", round});
+    auto begin_round = [&](int r) {
+      round = r;
       for (std::uint32_t li = 0; li < nl; ++li) {
         const graph::VertexId gid = view.vertices[li];
         const std::uint32_t mask = plan.vertex_mask[gid];
@@ -2350,43 +2108,9 @@ MidasResult midas_motif_views(const std::vector<partition::PartView>& views,
                   static_cast<gf::BitslicedGF::value_type>(u);
           }
       }
-      V total = f.zero();
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups())
-        run_phase(round, phase, total);
-      V buf = total;
-      world.allreduce<V>(std::span<V>(&buf, 1),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0 && buf != f.zero())
-        round_found[static_cast<std::size_t>(round)] = 1;
-      world.barrier();
-      if (cs.armed() && (round + 1) % opt.checkpoint.every_rounds == 0 &&
-          round + 1 < opt.rounds() && !(opt.early_exit && buf != f.zero())) {
-        detail::take_snapshot(world, cs, chash, round + 1, 0,
-                              opt.checkpoint.rng_state, accum_stage,
-                              [&] { return driver_state_upto(round + 1); });
-      }
-      if (opt.early_exit && buf != f.zero()) break;
-    }
-  });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  result.vclocks = spmd.vclocks;
-  result.failed_ranks = spmd.failed_ranks;
-  for (int round = 0; round < opt.rounds(); ++round) {
-    ++result.rounds_run;
-    if (round_found[static_cast<std::size_t>(round)]) {
-      result.found = true;
-      result.found_round = round;
-      break;
-    }
-  }
-  if (!opt.early_exit) result.rounds_run = opt.rounds();
-  return result;
+    };
+    rounds(begin_round, run_phase_scalar, run_phase_bs);
+  }).result;
 }
 
 /// Distributed Graph Motif detection for a (graph, partition) pair; builds
@@ -2415,12 +2139,13 @@ struct MidasWeightedResult {
   double vtime = 0.0;
   double wall_s = 0.0;
   runtime::CommStats total_stats;
-  int resumed_from_round = -1;  // snapshot round this run resumed at
+  std::vector<int> failed_ranks;  // world ranks lost to injected faults
+  int resumed_from_round = -1;    // snapshot round this run resumed at
 };
 
 /// Distributed maximum-weight k-path: the path DP with a weight dimension
 /// (paper Problem 3 part 2). Messages carry the whole weight axis, like
-/// the scan engine.
+/// the scan engine. Scalar-only: kernel=bitsliced is an options error.
 template <gf::GaloisField F>
 MidasWeightedResult midas_weighted_kpath(
     const graph::Graph& g, const partition::Partition& part,
@@ -2431,196 +2156,135 @@ MidasWeightedResult midas_weighted_kpath(
                           "partition must have N1 parts");
   detail::require_options(weights.size() == g.num_vertices(),
                           "one weight per vertex required");
-  detail::require_options(opt.n1 >= 1 && opt.n1 <= opt.n_ranks &&
-                              opt.n_ranks % opt.n1 == 0,
-                          "N1 must divide N (phase groups need N/N1 whole "
-                          "replicas)");
-  const Schedule sched =
-      make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
   const int k = opt.k;
   const auto views = partition::build_part_views(g, part);
 
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weights, k);
   const std::uint32_t width = wmax + 1;
+
+  // The accumulator is the width-wide feasibility row.
+  const detail::Recurrence rec{
+      .tag = 0x776b70617468ULL /* "wkpath" */,
+      .extra = runtime::fnv1a(
+          std::as_bytes(std::span<const std::uint32_t>(weights))),
+      .acc_len = width,
+      .stops_on_found = false,
+      .bitsliced = false};
+
+  auto run = detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
+    const std::uint32_t nl = view.num_local();
+    const std::uint32_t ng = view.num_ghosts();
+
+    std::vector<std::uint32_t> v(nl);
+    // r[(j - 1) * nl + li]: level-j coefficient, hashed once per round.
+    std::vector<V> r(static_cast<std::size_t>(k) * nl);
+    // Layout: (li * width + z) * batch + b (vertex-major, as in scan).
+    std::vector<V> cur, next, ghost, scratch;
+    std::vector<std::uint8_t> live_q;
+
+    auto run_phase = [&](std::uint64_t q0, std::size_t batch,
+                         std::span<V> accum) {
+      const std::size_t stride = static_cast<std::size_t>(width) * batch;
+      cur.assign(stride * nl, f.zero());
+      next.assign(stride * nl, f.zero());
+      ghost.assign(stride * ng, f.zero());
+      scratch.assign(batch, f.zero());
+      live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
+      const std::uint64_t adj_bytes = view.adjacency_bytes();
+      const std::uint64_t working_set =
+          adj_bytes + (stride * nl + stride * ng) * sizeof(V);
+
+      // Liveness is per (vertex, iteration): compute it once per
+      // phase and reuse across every level and weight row.
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = view.vertices[li];
+        const V coeff = r[li];
+        V* row = cur.data() + li * stride +
+                 static_cast<std::size_t>(weights[gid]) * batch;
+        std::uint8_t* lq =
+            live_q.data() + static_cast<std::size_t>(li) * batch;
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto q = static_cast<std::uint32_t>(q0 + b);
+          lq[b] = inner_product_odd(v[li], q) ? 0 : 1;
+          row[b] = lq[b] ? coeff : f.zero();
+        }
+      }
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+
+      for (int j = 2; j <= k; ++j) {
+        detail::halo_exchange(group, view, cur, ghost, batch * width);
+        std::fill(next.begin(), next.end(), f.zero());
+        std::uint64_t ops = 0;
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const graph::VertexId gid = view.vertices[li];
+          const std::uint32_t wi = weights[gid];
+          const V rj = r[static_cast<std::size_t>(j - 1) * nl + li];
+          V* out_vertex = next.data() + li * stride;
+          const std::uint8_t* lq =
+              live_q.data() + static_cast<std::size_t>(li) * batch;
+          const auto begin = view.adj_offsets[li];
+          const auto end = view.adj_offsets[li + 1];
+          for (std::uint32_t z = wi; z < width; ++z) {
+            V* row = out_vertex + static_cast<std::size_t>(z) * batch;
+            // Neighbor fold into scratch, gate by liveness, then one
+            // row-wide scale by the level coefficient.
+            std::fill(scratch.begin(), scratch.end(), f.zero());
+            for (auto e = begin; e < end; ++e) {
+              const auto ref = view.adj[e];
+              const V* src =
+                  (ref.is_ghost() ? ghost.data() : cur.data()) +
+                  static_cast<std::size_t>(ref.index()) * stride +
+                  static_cast<std::size_t>(z - wi) * batch;
+              for (std::size_t b = 0; b < batch; ++b)
+                scratch[b] = f.add(scratch[b], src[b]);
+            }
+            ops += (end - begin) * batch;
+            for (std::size_t b = 0; b < batch; ++b)
+              if (!lq[b]) scratch[b] = f.zero();
+            gf::scale_add_row(f, row, rj, scratch.data(), batch);
+            ops += batch;
+          }
+        }
+        world.charge_compute(ops);
+        world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+        std::swap(cur, next);
+      }
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const V* vertex_block = cur.data() + li * stride;
+        for (std::uint32_t z = 0; z < width; ++z) {
+          const V* row = vertex_block + static_cast<std::size_t>(z) * batch;
+          for (std::size_t b = 0; b < batch; ++b)
+            accum[z] = f.add(accum[z], row[b]);
+        }
+      }
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+    };
+
+    auto begin_round = [&](int round) {
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = view.vertices[li];
+        v[li] = v_vector(opt.seed, round, gid, k);
+        for (int j = 1; j <= k; ++j)
+          r[static_cast<std::size_t>(j - 1) * nl + li] = field_coeff(
+              f, opt.seed, round, gid, static_cast<std::uint32_t>(j));
+      }
+    };
+    rounds(begin_round, run_phase, detail::ScalarOnly{});
+  });
 
   MidasWeightedResult result;
   result.feasible_weight.assign(width, false);
-  Timer wall;
-  // Driver state per completed round: the width-wide feasibility row.
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(opt.rounds()) * width, 0);
-
-  runtime::SpmdOptions sopt = detail::effective_spmd(opt);
-  const std::uint64_t chash = detail::config_fingerprint(
-      /*engine_tag=*/0x776b70617468ULL /* "wkpath" */, opt, sopt, sizeof(V),
-      views,
-      runtime::fnv1a(std::as_bytes(std::span<const std::uint32_t>(weights))));
-  detail::CheckpointSession cs = detail::open_checkpoints(
-      opt, sopt, chash, /*driver_bytes_per_round=*/width,
-      /*wave_accum_bytes=*/0);  // round-boundary snapshots only
-  const int start_round = cs.resumed ? static_cast<int>(cs.loaded.next_round)
-                                     : 0;
-  if (cs.resumed) {
-    result.resumed_from_round = start_round;
-    std::copy(cs.loaded.driver_state.begin(), cs.loaded.driver_state.end(),
-              found_cells.begin());
-  }
-  std::vector<std::vector<std::uint8_t>> accum_stage(
-      static_cast<std::size_t>(opt.n_ranks));
-  auto driver_state_upto = [&found_cells, width](int rounds_done) {
-    return std::vector<std::uint8_t>(
-        found_cells.begin(),
-        found_cells.begin() +
-            static_cast<std::ptrdiff_t>(
-                static_cast<std::size_t>(rounds_done) * width));
-  };
-
-  runtime::SpmdResult spmd = runtime::run_spmd(
-      opt.n_ranks, opt.model, sopt,
-      [&](runtime::Comm& world) {
-        const int group_color = world.rank() / opt.n1;
-        runtime::Comm group =
-            world.split(group_color, world.rank() % opt.n1);
-        world.resume_sync();
-        const auto& view = views[static_cast<std::size_t>(group.rank())];
-        const std::uint32_t nl = view.num_local();
-        const std::uint32_t ng = view.num_ghosts();
-
-        std::vector<std::uint32_t> v(nl);
-        // Layout: (li * width + z) * batch + b (vertex-major, as in scan).
-        std::vector<V> cur, next, ghost, scratch;
-        std::vector<std::uint8_t> live_q;
-        std::vector<V> accum(width);
-
-        for (int round = start_round; round < opt.rounds(); ++round) {
-          MIDAS_TRACE_SPAN("engine.round", {"round", round});
-          for (std::uint32_t li = 0; li < nl; ++li)
-            v[li] = v_vector(opt.seed, round, view.vertices[li], k);
-          std::fill(accum.begin(), accum.end(), f.zero());
-
-          for (std::uint64_t phase = group_color; phase < sched.phases();
-               phase += sched.groups()) {
-            // The weighted driver is scalar-only (par_use_bitsliced).
-            MIDAS_TRACE_SPAN("engine.phase.scalar",
-                             {"phase", static_cast<std::int64_t>(phase)});
-            const auto [q0, q1] = sched.phase_range(phase);
-            const std::size_t batch = q1 - q0;
-            const std::size_t stride =
-                static_cast<std::size_t>(width) * batch;
-            cur.assign(stride * nl, f.zero());
-            next.assign(stride * nl, f.zero());
-            ghost.assign(stride * ng, f.zero());
-            scratch.assign(batch, f.zero());
-            live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
-            const std::uint64_t adj_bytes =
-                view.adj.size() * sizeof(partition::NbrRef) +
-                view.adj_offsets.size() * sizeof(std::uint64_t);
-            const std::uint64_t working_set =
-                adj_bytes + (stride * nl + stride * ng) * sizeof(V);
-
-            // Liveness is per (vertex, iteration): compute it once per
-            // phase and reuse across every level and weight row.
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const graph::VertexId gid = view.vertices[li];
-              const V coeff = field_coeff(f, opt.seed, round, gid, 1);
-              V* row = cur.data() + li * stride +
-                       static_cast<std::size_t>(weights[gid]) * batch;
-              std::uint8_t* lq =
-                  live_q.data() + static_cast<std::size_t>(li) * batch;
-              for (std::size_t b = 0; b < batch; ++b) {
-                const auto q = static_cast<std::uint32_t>(q0 + b);
-                lq[b] = inner_product_odd(v[li], q) ? 0 : 1;
-                row[b] = lq[b] ? coeff : f.zero();
-              }
-            }
-            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-
-            for (int j = 2; j <= k; ++j) {
-              detail::halo_exchange(group, view, cur, ghost,
-                                    batch * width);
-              std::fill(next.begin(), next.end(), f.zero());
-              std::uint64_t ops = 0;
-              for (std::uint32_t li = 0; li < nl; ++li) {
-                const graph::VertexId gid = view.vertices[li];
-                const std::uint32_t wi = weights[gid];
-                const V rj = field_coeff(f, opt.seed, round, gid,
-                                         static_cast<std::uint32_t>(j));
-                V* out_vertex = next.data() + li * stride;
-                const std::uint8_t* lq =
-                    live_q.data() + static_cast<std::size_t>(li) * batch;
-                const auto begin = view.adj_offsets[li];
-                const auto end = view.adj_offsets[li + 1];
-                for (std::uint32_t z = wi; z < width; ++z) {
-                  V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-                  // Neighbor fold into scratch, gate by liveness, then one
-                  // row-wide scale by the level coefficient.
-                  std::fill(scratch.begin(), scratch.end(), f.zero());
-                  for (auto e = begin; e < end; ++e) {
-                    const auto ref = view.adj[e];
-                    const V* src =
-                        (ref.is_ghost() ? ghost.data() : cur.data()) +
-                        static_cast<std::size_t>(ref.index()) * stride +
-                        static_cast<std::size_t>(z - wi) * batch;
-                    for (std::size_t b = 0; b < batch; ++b)
-                      scratch[b] = f.add(scratch[b], src[b]);
-                  }
-                  ops += (end - begin) * batch;
-                  for (std::size_t b = 0; b < batch; ++b)
-                    if (!lq[b]) scratch[b] = f.zero();
-                  gf::scale_add_row(f, row, rj, scratch.data(), batch);
-                  ops += batch;
-                }
-              }
-              world.charge_compute(ops);
-              world.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-              std::swap(cur, next);
-            }
-            for (std::uint32_t li = 0; li < nl; ++li) {
-              const V* vertex_block = cur.data() + li * stride;
-              for (std::uint32_t z = 0; z < width; ++z) {
-                const V* row =
-                    vertex_block + static_cast<std::size_t>(z) * batch;
-                for (std::size_t b = 0; b < batch; ++b)
-                  accum[z] = f.add(accum[z], row[b]);
-              }
-            }
-            world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-          }
-          std::vector<V> buf(accum);
-          world.allreduce<V>(std::span<V>(buf),
-                             [&f](V& a, const V& b) { a = f.add(a, b); });
-          if (world.rank() == 0) {
-            for (std::uint32_t z = 0; z < width; ++z)
-              if (buf[z] != f.zero())
-                found_cells[static_cast<std::size_t>(round) * width + z] =
-                    1;
-          }
-          world.barrier();
-          if (cs.armed() &&
-              (round + 1) % opt.checkpoint.every_rounds == 0 &&
-              round + 1 < opt.rounds()) {
-            detail::take_snapshot(
-                world, cs, chash, round + 1, 0, opt.checkpoint.rng_state,
-                accum_stage, [&] { return driver_state_upto(round + 1); });
-          }
-        }
-      });
-
-  if (!spmd.failed_ranks.empty() && spmd.first_error)
-    std::rethrow_exception(spmd.first_error);
-  result.wall_s = wall.elapsed_s();
-  result.vtime = spmd.makespan;
-  result.total_stats = spmd.total;
-  for (int round = 0; round < opt.rounds(); ++round)
-    for (std::uint32_t z = 0; z < width; ++z)
-      if (found_cells[static_cast<std::size_t>(round) * width + z])
-        result.feasible_weight[z] = true;
+  result.vtime = run.result.vtime;
+  result.wall_s = run.result.wall_s;
+  result.total_stats = run.result.total_stats;
+  result.failed_ranks = std::move(run.result.failed_ranks);
+  result.resumed_from_round = run.result.resumed_from_round;
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    if (run.cells[i]) result.feasible_weight[i % width] = true;
   for (std::uint32_t z = 0; z < width; ++z)
     if (result.feasible_weight[z]) result.max_weight = z;
   return result;

@@ -454,6 +454,18 @@ DetectResult detect_ktree_seq(const graph::Graph& g,
 // Scan statistics feasibility (paper Section V-B, Algorithm 5)
 // ---------------------------------------------------------------------------
 
+/// Largest total weight of any k vertices: the weight-axis bound of the
+/// scan tables.
+[[nodiscard]] inline std::uint32_t max_weight_of(
+    const std::vector<std::uint32_t>& weights, int k) {
+  std::vector<std::uint32_t> sorted(weights);
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  std::uint32_t sum = 0;
+  for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
+    sum += sorted[static_cast<std::size_t>(i)];
+  return sum;
+}
+
 /// feasible[j][z] == true  =>  g has a connected subgraph of exactly j
 /// vertices with total (rounded) weight exactly z. "true" entries are
 /// always correct ("no" entries may be false negatives with prob <= eps).
@@ -689,13 +701,7 @@ FeasibilityTable detect_scan_seq(const graph::Graph& g,
   MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
 
   // Maximum achievable weight of a k-subset bounds the table width.
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weights, k);
 
   FeasibilityTable table;
   table.k = k;

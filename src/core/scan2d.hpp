@@ -47,6 +47,11 @@ struct Feasibility2D {
   std::uint32_t max_baseline = 0;
   std::uint32_t max_weight = 0;
   std::vector<std::vector<bool>> feasible;  // [y][z]
+  // Run record of midas_scan2d (left at its defaults by the sequential
+  // detector).
+  double vtime = 0.0;             // modeled parallel makespan (seconds)
+  std::vector<int> failed_ranks;  // world ranks lost to injected faults
+  int resumed_from_round = -1;    // snapshot round this run resumed at
 
   [[nodiscard]] bool at(std::uint32_t y, std::uint32_t z) const {
     return y <= max_baseline && z <= max_weight && feasible[y][z];
@@ -64,13 +69,7 @@ Feasibility2D detect_scan2d_seq(const graph::Graph& g,
   MIDAS_REQUIRE(baseline.size() == n && weight.size() == n,
                 "baseline and weight must have one entry per vertex");
 
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weight);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < s_max && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weight, s_max);
   const std::uint32_t bcap = opt.max_baseline;
 
   Feasibility2D table;
@@ -170,10 +169,12 @@ Feasibility2D detect_scan2d_seq(const graph::Graph& g,
   return table;
 }
 
-/// Distributed Problem 2: the scan2d DP on the MIDAS engine. Identical
-/// table as detect_scan2d_seq (bit-identical for the same seed); messages
-/// carry both weight axes, i.e. (bcap+1)*(wmax+1)*N2 values per boundary
-/// vertex per size step.
+/// Distributed Problem 2: the scan2d DP on the MIDAS phase engine.
+/// Identical table as detect_scan2d_seq (bit-identical for the same seed);
+/// messages carry both weight axes, i.e. (bcap+1)*(wmax+1)*N2 values per
+/// boundary vertex per size step. `sopt` sets the size cap, the rounds and
+/// the seed; `mopt` sets the geometry, the cost model, faults, watchdog
+/// and checkpoints. Scalar-only: kernel=bitsliced is an options error.
 template <gf::GaloisField F>
 Feasibility2D midas_scan2d(const graph::Graph& g,
                            const partition::Partition& part,
@@ -182,181 +183,182 @@ Feasibility2D midas_scan2d(const graph::Graph& g,
                            const Scan2DOptions& sopt,
                            const MidasOptions& mopt, const F& f = F{}) {
   using V = typename F::value_type;
-  MIDAS_REQUIRE(part.parts == mopt.n1, "partition must have N1 parts");
+  detail::require_options(part.parts == mopt.n1,
+                          "partition must have N1 parts");
   const int s_max = sopt.max_size;
-  MIDAS_REQUIRE(s_max >= 1 && s_max <= 20, "max_size must be in [1,20]");
+  detail::require_options(s_max >= 1 && s_max <= 20,
+                          "max_size must be in [1,20]");
   const graph::VertexId n = g.num_vertices();
-  MIDAS_REQUIRE(baseline.size() == n && weight.size() == n,
-                "baseline and weight must have one entry per vertex");
-  const Schedule sched =
-      make_schedule(s_max, sopt.epsilon, mopt.n_ranks, mopt.n1, mopt.n2);
+  detail::require_options(
+      baseline.size() == n && weight.size() == n,
+      "baseline and weight must have one entry per vertex");
   const auto views = partition::build_part_views(g, part);
 
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weight);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < s_max && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weight, s_max);
   const std::uint32_t bw = sopt.max_baseline + 1;
   const std::uint32_t ww = wmax + 1;
   const std::uint32_t plane = bw * ww;
 
-  Feasibility2D table;
-  table.max_size = s_max;
-  table.max_baseline = sopt.max_baseline;
-  table.max_weight = wmax;
-  table.feasible.assign(bw, std::vector<bool>(ww, false));
+  MidasOptions opt = mopt;
+  opt.k = s_max;
+  opt.epsilon = sopt.epsilon;
+  opt.seed = sopt.seed;
+  opt.max_rounds = sopt.max_rounds;
+  // The accumulator holds one sum per (size, baseline, weight) cell:
+  // accum[j * plane + y * ww + z].
+  std::vector<std::uint32_t> inputs(baseline);
+  inputs.insert(inputs.end(), weight.begin(), weight.end());
+  inputs.push_back(sopt.max_baseline);
+  const detail::Recurrence rec{
+      .tag = 0x7363616e3264ULL /* "scan2d" */,
+      .extra = runtime::fnv1a(
+          std::as_bytes(std::span<const std::uint32_t>(inputs))),
+      .acc_len = static_cast<std::size_t>(s_max + 1) * plane,
+      .stops_on_found = false,
+      .bitsliced = false};
 
-  std::vector<std::uint8_t> found_cells(
-      static_cast<std::size_t>(sopt.rounds()) * plane, 0);
-
-  runtime::run_spmd(mopt.n_ranks, mopt.model, [&](runtime::Comm& world) {
-    const int group_color = world.rank() / mopt.n1;
-    runtime::Comm group = world.split(group_color, world.rank() % mopt.n1);
-    const auto& view = views[static_cast<std::size_t>(group.rank())];
+  auto run = detail::run_phase_engine(views, opt, f, rec, [&](
+      const detail::PhaseRank& pr, auto&& rounds) {
+    runtime::Comm& world = pr.world;
+    runtime::Comm& group = pr.group;
+    const auto& view = pr.view;
     const std::uint32_t nl = view.num_local();
     const std::uint32_t ng = view.num_ghosts();
 
+    int round = 0;
     std::vector<std::uint32_t> v(nl);
+    // c1[li]: base-case coefficient, hashed once per round.
+    std::vector<V> c1(nl);
     // vals[j][(li * plane + y*ww + z) * batch + b]; ghosts mirror.
     std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
     std::vector<std::vector<V>> ghost(static_cast<std::size_t>(s_max) + 1);
-    std::vector<V> accum(static_cast<std::size_t>(s_max + 1) * plane);
 
-    for (int round = 0; round < sopt.rounds(); ++round) {
-      for (std::uint32_t li = 0; li < nl; ++li)
-        v[li] = v_vector(sopt.seed, round, view.vertices[li], s_max);
-      std::fill(accum.begin(), accum.end(), f.zero());
+    auto run_phase = [&](std::uint64_t q0, std::size_t batch,
+                         std::span<V> accum) {
+      const std::size_t stride = static_cast<std::size_t>(plane) * batch;
+      for (int j = 1; j <= s_max; ++j) {
+        vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
+        ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
+      }
 
-      for (std::uint64_t phase = group_color; phase < sched.phases();
-           phase += sched.groups()) {
-        const auto [q0, q1] = sched.phase_range(phase);
-        const std::size_t batch = q1 - q0;
-        const std::size_t stride = static_cast<std::size_t>(plane) * batch;
-        for (int j = 1; j <= s_max; ++j) {
-          vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
-          ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
+      auto& base = vals[1];
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = view.vertices[li];
+        if (baseline[gid] >= bw) continue;
+        const V coeff = c1[li];
+        V* row = base.data() + li * stride +
+                 (static_cast<std::size_t>(baseline[gid]) * ww +
+                  weight[gid]) *
+                     batch;
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto q = static_cast<std::uint32_t>(q0 + b);
+          row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
         }
+      }
+      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+      detail::halo_exchange(group, view, vals[1], ghost[1],
+                            batch * plane);
 
-        auto& base = vals[1];
+      for (int j = 2; j <= s_max; ++j) {
+        auto& out = vals[static_cast<std::size_t>(j)];
+        std::uint64_t ops = 0;
         for (std::uint32_t li = 0; li < nl; ++li) {
           const graph::VertexId gid = view.vertices[li];
-          if (baseline[gid] >= bw) continue;
-          const V coeff = field_coeff(f, sopt.seed, round, gid, 1);
-          V* row = base.data() + li * stride +
-                   (static_cast<std::size_t>(baseline[gid]) * ww +
-                    weight[gid]) *
-                       batch;
-          for (std::size_t b = 0; b < batch; ++b) {
-            const auto q = static_cast<std::uint32_t>(q0 + b);
-            row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
-          }
-        }
-        world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-        detail::halo_exchange(group, view, vals[1], ghost[1],
-                              batch * plane);
-
-        for (int j = 2; j <= s_max; ++j) {
-          auto& out = vals[static_cast<std::size_t>(j)];
-          std::uint64_t ops = 0;
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const graph::VertexId gid = view.vertices[li];
-            const auto begin = view.adj_offsets[li];
-            const auto end = view.adj_offsets[li + 1];
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const bool is_ghost = ref.is_ghost();
-              const std::uint32_t idx = ref.index();
-              const graph::VertexId u_gid =
-                  is_ghost ? view.ghosts[idx] : view.vertices[idx];
-              const V sig = sigma_coeff(f, sopt.seed, round, gid, u_gid,
-                                        static_cast<std::uint32_t>(j));
-              for (int j1 = 1; j1 <= j - 1; ++j1) {
-                const V* own_vertex =
-                    vals[static_cast<std::size_t>(j1)].data() +
-                    li * stride;
-                const V* oth_vertex =
-                    (is_ghost
-                         ? ghost[static_cast<std::size_t>(j - j1)].data()
-                         : vals[static_cast<std::size_t>(j - j1)].data()) +
-                    idx * stride;
-                V* out_vertex = out.data() + li * stride;
-                for (std::uint32_t y = 0; y < bw; ++y) {
-                  for (std::uint32_t z = 0; z < ww; ++z) {
-                    V* row = out_vertex +
-                             (static_cast<std::size_t>(y) * ww + z) * batch;
-                    for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
-                      for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                        const V* a = own_vertex +
-                                     (static_cast<std::size_t>(y1) * ww +
-                                      z1) *
-                                         batch;
-                        const V* c =
-                            oth_vertex +
-                            (static_cast<std::size_t>(y - y1) * ww +
-                             (z - z1)) *
-                                batch;
-                        for (std::size_t b = 0; b < batch; ++b) {
-                          if (a[b] == f.zero() || c[b] == f.zero())
-                            continue;
-                          row[b] = f.add(row[b],
-                                         f.mul(sig, f.mul(a[b], c[b])));
-                        }
-                        ops += batch;
+          const auto begin = view.adj_offsets[li];
+          const auto end = view.adj_offsets[li + 1];
+          for (auto e = begin; e < end; ++e) {
+            const auto ref = view.adj[e];
+            const bool is_ghost = ref.is_ghost();
+            const std::uint32_t idx = ref.index();
+            const graph::VertexId u_gid =
+                is_ghost ? view.ghosts[idx] : view.vertices[idx];
+            const V sig = sigma_coeff(f, opt.seed, round, gid, u_gid,
+                                      static_cast<std::uint32_t>(j));
+            for (int j1 = 1; j1 <= j - 1; ++j1) {
+              const V* own_vertex =
+                  vals[static_cast<std::size_t>(j1)].data() +
+                  li * stride;
+              const V* oth_vertex =
+                  (is_ghost
+                       ? ghost[static_cast<std::size_t>(j - j1)].data()
+                       : vals[static_cast<std::size_t>(j - j1)].data()) +
+                  idx * stride;
+              V* out_vertex = out.data() + li * stride;
+              for (std::uint32_t y = 0; y < bw; ++y) {
+                for (std::uint32_t z = 0; z < ww; ++z) {
+                  V* row = out_vertex +
+                           (static_cast<std::size_t>(y) * ww + z) * batch;
+                  for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
+                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
+                      const V* a = own_vertex +
+                                   (static_cast<std::size_t>(y1) * ww +
+                                    z1) *
+                                       batch;
+                      const V* c =
+                          oth_vertex +
+                          (static_cast<std::size_t>(y - y1) * ww +
+                           (z - z1)) *
+                              batch;
+                      for (std::size_t b = 0; b < batch; ++b) {
+                        if (a[b] == f.zero() || c[b] == f.zero())
+                          continue;
+                        row[b] = f.add(row[b],
+                                       f.mul(sig, f.mul(a[b], c[b])));
                       }
+                      ops += batch;
                     }
                   }
                 }
               }
             }
           }
-          world.charge_compute(ops);
-          if (j < s_max)
-            detail::halo_exchange(group, view,
-                                  vals[static_cast<std::size_t>(j)],
-                                  ghost[static_cast<std::size_t>(j)],
-                                  batch * plane);
         }
-        // Subgroup-restricted accumulation per size.
-        for (int j = 1; j <= s_max; ++j) {
-          const std::uint64_t jlimit = std::uint64_t{1} << j;
-          if (q0 >= jlimit) continue;
-          const std::size_t bmax =
-              std::min<std::uint64_t>(batch, jlimit - q0);
-          const auto& layer = vals[static_cast<std::size_t>(j)];
-          V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
-          for (std::uint32_t li = 0; li < nl; ++li) {
-            const V* vertex = layer.data() + li * stride;
-            for (std::uint32_t cell = 0; cell < plane; ++cell) {
-              const V* row = vertex + static_cast<std::size_t>(cell) * batch;
-              for (std::size_t b = 0; b < bmax; ++b)
-                acc[cell] = f.add(acc[cell], row[b]);
-            }
+        world.charge_compute(ops);
+        if (j < s_max)
+          detail::halo_exchange(group, view,
+                                vals[static_cast<std::size_t>(j)],
+                                ghost[static_cast<std::size_t>(j)],
+                                batch * plane);
+      }
+      // Subgroup-restricted accumulation per size.
+      for (int j = 1; j <= s_max; ++j) {
+        const std::uint64_t jlimit = std::uint64_t{1} << j;
+        if (q0 >= jlimit) continue;
+        const std::size_t bmax =
+            std::min<std::uint64_t>(batch, jlimit - q0);
+        const auto& layer = vals[static_cast<std::size_t>(j)];
+        V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
+        for (std::uint32_t li = 0; li < nl; ++li) {
+          const V* vertex = layer.data() + li * stride;
+          for (std::uint32_t cell = 0; cell < plane; ++cell) {
+            const V* row = vertex + static_cast<std::size_t>(cell) * batch;
+            for (std::size_t b = 0; b < bmax; ++b)
+              acc[cell] = f.add(acc[cell], row[b]);
           }
         }
       }
-      std::vector<V> buf(accum);
-      world.allreduce<V>(std::span<V>(buf),
-                         [&f](V& a, const V& b) { a = f.add(a, b); });
-      if (world.rank() == 0) {
-        for (int j = 1; j <= s_max; ++j)
-          for (std::uint32_t cell = 0; cell < plane; ++cell)
-            if (buf[static_cast<std::size_t>(j) * plane + cell] != f.zero())
-              found_cells[static_cast<std::size_t>(round) * plane + cell] =
-                  1;
+    };
+
+    auto begin_round = [&](int r) {
+      round = r;
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        v[li] = v_vector(opt.seed, round, view.vertices[li], s_max);
+        c1[li] = field_coeff(f, opt.seed, round, view.vertices[li], 1);
       }
-      world.barrier();
-    }
+    };
+    rounds(begin_round, run_phase, detail::ScalarOnly{});
   });
 
-  for (int round = 0; round < sopt.rounds(); ++round)
-    for (std::uint32_t y = 0; y < bw; ++y)
-      for (std::uint32_t z = 0; z < ww; ++z)
-        if (found_cells[static_cast<std::size_t>(round) * plane + y * ww +
-                        z])
-          table.feasible[y][z] = true;
+  Feasibility2D table;
+  table.max_size = s_max;
+  table.max_baseline = sopt.max_baseline;
+  table.max_weight = wmax;
+  table.feasible.assign(bw, std::vector<bool>(ww, false));
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    if (run.cells[i]) table.feasible[i % plane / ww][i % ww] = true;
+  table.vtime = run.result.vtime;
+  table.failed_ranks = std::move(run.result.failed_ranks);
+  table.resumed_from_round = run.result.resumed_from_round;
   return table;
 }
 

@@ -39,13 +39,7 @@ WeightedPathResult max_weight_kpath_seq(
   const graph::VertexId n = g.num_vertices();
   MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
 
-  std::uint32_t wmax = 0;
-  {
-    std::vector<std::uint32_t> sorted(weights);
-    std::sort(sorted.begin(), sorted.end(), std::greater<>());
-    for (int i = 0; i < k && i < static_cast<int>(sorted.size()); ++i)
-      wmax += sorted[static_cast<std::size_t>(i)];
-  }
+  const std::uint32_t wmax = max_weight_of(weights, k);
   const std::uint32_t width = wmax + 1;
 
   WeightedPathResult res;

@@ -72,6 +72,12 @@ struct PartView {
   }
   /// Total values sent per iteration (sum over targets).
   [[nodiscard]] std::uint64_t send_volume() const noexcept;
+  /// Bytes of the local CSR (adjacency plus offsets): what every DP level
+  /// streams in the engines' memory-cost model.
+  [[nodiscard]] std::uint64_t adjacency_bytes() const noexcept {
+    return adj.size() * sizeof(NbrRef) +
+           adj_offsets.size() * sizeof(std::uint64_t);
+  }
 };
 
 /// Build the views of every part. O(m + n) overall.

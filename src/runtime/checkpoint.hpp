@@ -52,7 +52,7 @@ struct RoundCheckpoint {
   std::uint64_t config_hash = 0;  // fingerprint of the run configuration
   std::uint32_t next_round = 0;   // first round not yet complete
   // Phase waves of `next_round` already in the accumulators (0 = a clean
-  // round boundary; > 0 = mid-round snapshot, k-path clean path only).
+  // round boundary; > 0 = mid-round snapshot, unsupervised runs only).
   std::uint64_t phase_waves_done = 0;
   std::vector<std::uint8_t> driver_state;           // driver progress bytes
   std::vector<std::vector<std::uint8_t>> accum;     // per-rank accumulator

@@ -240,8 +240,9 @@ class ServiceFaultInjector {
 
   /// Inject engine-level faults (rank kill, message corruption) into the
   /// options of execution attempt `attempt` of the query with fingerprint
-  /// `fp`. Injected kills are masked by the k-path failover when an intact
-  /// phase group survives and surface as retryable typed errors otherwise;
+  /// `fp`. Injected kills are masked by the engines' failover when an
+  /// intact phase group survives and surface as retryable typed errors
+  /// otherwise;
   /// corruption is always masked by checksum retransmission (it costs
   /// modeled time, never data). Returns true when anything was injected.
   bool apply_engine_faults(core::MidasOptions& opt, std::uint64_t fp,

@@ -560,5 +560,79 @@ TEST(CheckpointEngine, WeightedKPathResumeIsBitExact) {
   }
 }
 
+TEST(CheckpointEngine, ScanWaveResumeFromEverySnapshotIsBitExact) {
+  // Mid-round (wave) snapshots of a vector accumulator: one (j, z) sum per
+  // slot travels in every rank's snapshot and resumes bit-exactly.
+  gf::GF256 f;
+  Xoshiro256 rng(707);
+  const graph::Graph g = graph::erdos_renyi_gnp(12, 0.25, rng);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(3));
+  const auto part = partition::block_partition(g, 2);
+  MidasOptions base = ck_opts(67);
+  base.n2 = 1;  // 16 phases over 2 groups = 8 waves/round
+  base.max_rounds = 2;
+  const auto clean = midas_scan(g, part, w, base, f);
+
+  MidasOptions ck = base;
+  ck.checkpoint.dir = fresh_dir("scan_wave_src");
+  ck.checkpoint.every_rounds = 1;
+  ck.checkpoint.every_waves = 3;
+  ck.checkpoint.keep = 64;
+  (void)midas_scan(g, part, w, ck, f);
+  const auto files = snapshots_oldest_first(ck.checkpoint.dir);
+  // Waves 3 and 6 of both rounds, plus the snapshot after round 1.
+  ASSERT_EQ(files.size(), 2u * 2u + 1u);
+
+  for (std::size_t kill = 1; kill <= files.size(); ++kill) {
+    MidasOptions r = ck;
+    r.checkpoint.dir =
+        prefix_dir("scan_wave_" + std::to_string(kill), files, kill);
+    r.checkpoint.resume = true;
+    const auto res = midas_scan(g, part, w, r, f);
+    EXPECT_EQ(res.table.feasible, clean.table.feasible)
+        << "kill point " << kill;
+    EXPECT_EQ(res.vtime, clean.vtime) << "kill point " << kill;
+    EXPECT_EQ(res.vclocks, clean.vclocks) << "kill point " << kill;
+    EXPECT_GE(res.resumed_from_round, 0) << "kill point " << kill;
+  }
+}
+
+TEST(CheckpointEngine, MotifWaveResumeFromEverySnapshotIsBitExact) {
+  gf::GF256 f;
+  Xoshiro256 rng(808);
+  const graph::Graph g = graph::erdos_renyi_gnp(16, 0.3, rng);
+  std::vector<std::uint32_t> colors(g.num_vertices());
+  for (auto& c : colors) c = static_cast<std::uint32_t>(rng.below(2));
+  const std::vector<std::uint32_t> motif{0, 1, 0, 1};
+  const auto part = partition::block_partition(g, 2);
+  MidasOptions base = ck_opts(68);
+  base.n2 = 1;  // 8 waves/round
+  base.max_rounds = 3;
+  const auto clean = midas_motif(g, part, colors, motif, base, f);
+
+  MidasOptions ck = base;
+  ck.checkpoint.dir = fresh_dir("motif_wave_src");
+  ck.checkpoint.every_rounds = 1;
+  ck.checkpoint.every_waves = 3;
+  ck.checkpoint.keep = 64;
+  (void)midas_motif(g, part, colors, motif, ck, f);
+  const auto files = snapshots_oldest_first(ck.checkpoint.dir);
+  ASSERT_EQ(files.size(), 3u * 2u + 2u);
+
+  for (std::size_t kill = 1; kill <= files.size(); ++kill) {
+    MidasOptions r = ck;
+    r.checkpoint.dir =
+        prefix_dir("motif_wave_" + std::to_string(kill), files, kill);
+    r.checkpoint.resume = true;
+    const auto res = midas_motif(g, part, colors, motif, r, f);
+    EXPECT_EQ(res.found, clean.found) << "kill point " << kill;
+    EXPECT_EQ(res.found_round, clean.found_round) << "kill point " << kill;
+    EXPECT_EQ(res.vtime, clean.vtime) << "kill point " << kill;
+    EXPECT_EQ(res.vclocks, clean.vclocks) << "kill point " << kill;
+    EXPECT_GE(res.resumed_from_round, 0) << "kill point " << kill;
+  }
+}
+
 }  // namespace
 }  // namespace midas::core

@@ -7,17 +7,28 @@
 // outcomes (found / not found, and the feasibility table for scan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "baseline/brute_force.hpp"
 #include "core/detect_par.hpp"
 #include "core/detect_seq.hpp"
+#include "core/errors.hpp"
+#include "core/scan2d.hpp"
 #include "fixtures.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gfsmall.hpp"
+#include "graph/digraph.hpp"
 #include "graph/generators.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
+#include "runtime/checkpoint.hpp"
+#include "runtime/fault.hpp"
 #include "util/rng.hpp"
 
 namespace midas::core {
@@ -272,6 +283,216 @@ TEST(ParKPath, RejectsBadConfigurations) {
   // Partition arity mismatch.
   EXPECT_THROW(midas_kpath(g, part, par_opts(4, 4, 4, 4), f),
                std::invalid_argument);
+}
+
+TEST(ParWeighted, BitslicedKernelRequestIsAnOptionsError) {
+  // The weighted engine has no bit-sliced phase: an explicit request is
+  // rejected instead of silently running scalar; auto runs scalar.
+  gf::GF256 f;
+  const Graph g = fixtures::gnp(10, 0.3, 17);
+  const std::vector<std::uint32_t> w(g.num_vertices(), 1);
+  const auto part = partition::block_partition(g, 2);
+  MidasOptions o = par_opts(3, 4, 2, 4);
+  o.max_rounds = 2;
+  o.kernel = Kernel::kBitsliced;
+  EXPECT_THROW((void)midas_weighted_kpath(g, part, w, o, f),
+               InvalidOptionsError);
+  o.kernel = Kernel::kAuto;
+  EXPECT_NO_THROW((void)midas_weighted_kpath(g, part, w, o, f));
+}
+
+// ---------------------------------------------------------------------------
+// Golden record: clean runs of every distributed engine, digested
+// ---------------------------------------------------------------------------
+
+/// Integer-only golden input, hashed with FNV-1a. Doubles (vclocks, vtime)
+/// are left out on purpose: FP contraction may differ across compilers.
+struct Golden {
+  std::vector<std::uint64_t> words;
+
+  void add(std::uint64_t w) { words.push_back(w); }
+  void add_bytes(const std::vector<std::uint8_t>& b) {
+    add(b.size());
+    for (const auto x : b) add(x);
+  }
+  void add_stats(const runtime::CommStats& s) {
+    add(s.messages_sent);
+    add(s.bytes_sent);
+    add(s.messages_received);
+    add(s.bytes_received);
+  }
+  void add_result(const MidasResult& r) {
+    add(r.found ? 1 : 0);
+    add(static_cast<std::uint64_t>(r.rounds_run));
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.found_round)));
+    add_stats(r.total_stats);
+  }
+  void add_table(const std::vector<std::vector<bool>>& t) {
+    for (const auto& row : t) {
+      add(row.size());
+      for (const bool b : row) add(b ? 1 : 0);
+    }
+  }
+  /// Driver state, per-rank accumulators and per-rank message and byte
+  /// counts of every snapshot in `dir`, oldest first.
+  void add_snapshots(const std::string& dir) {
+    runtime::CheckpointStore store(dir);
+    auto files = store.snapshots();
+    std::reverse(files.begin(), files.end());
+    add(files.size());
+    for (const auto& file : files) {
+      const auto ck = runtime::CheckpointStore::load_file(file);
+      add(ck.next_round);
+      add(ck.phase_waves_done);
+      add_bytes(ck.driver_state);
+      add(ck.accum.size());
+      for (const auto& a : ck.accum) add_bytes(a);
+      add(ck.stats.size());
+      for (const auto& s : ck.stats) add_stats(s);
+    }
+  }
+  [[nodiscard]] std::uint64_t digest() const {
+    return runtime::fnv1a(
+        std::as_bytes(std::span<const std::uint64_t>(words)));
+  }
+};
+
+/// Empty snapshot directory for one golden run.
+std::string golden_dir(const std::string& name) {
+  const auto p = std::filesystem::temp_directory_path() /
+                 ("midas_test_golden_" + name);
+  std::filesystem::remove_all(p);
+  std::filesystem::create_directories(p);
+  return p.string();
+}
+
+/// Four ranks in two phase groups, three full rounds, a snapshot after
+/// every round.
+MidasOptions golden_opts(int k, std::uint64_t seed, Kernel kernel,
+                         const std::string& dir) {
+  MidasOptions o = par_opts(k, 4, 2, 4, seed);
+  o.max_rounds = 3;
+  o.early_exit = false;
+  o.kernel = kernel;
+  o.checkpoint.dir = dir;
+  o.checkpoint.every_rounds = 1;
+  o.checkpoint.keep = 64;
+  return o;
+}
+
+// Recorded values (FNV-1a of the integer quantities above), taken from
+// the per-engine drivers before they shared one phase-engine skeleton:
+//   kpath      0xb7c50f9068060384  (both kernels)
+//   kpath_dir  0x15c6e657f0eb64a4  (both kernels)
+//   ktree      0x36aab440bc12b384  (both kernels)
+//   scan       0x98c013764a38db73  (both kernels)
+//   motif      0x1f52e7096b278c54  (both kernels)
+//   weighted   0x28270618c1106bc9
+//   scan2d     0x25864e281e85bb64  (table only)
+TEST(EngineGolden, CleanRunsMatchTheRecordedDigests) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"kpath/scalar", 0xb7c50f9068060384ULL},
+      {"kpath/bitsliced", 0xb7c50f9068060384ULL},
+      {"kpath_dir/scalar", 0x15c6e657f0eb64a4ULL},
+      {"kpath_dir/bitsliced", 0x15c6e657f0eb64a4ULL},
+      {"ktree/scalar", 0x36aab440bc12b384ULL},
+      {"ktree/bitsliced", 0x36aab440bc12b384ULL},
+      {"scan/scalar", 0x98c013764a38db73ULL},
+      {"scan/bitsliced", 0x98c013764a38db73ULL},
+      {"motif/scalar", 0x1f52e7096b278c54ULL},
+      {"motif/bitsliced", 0x1f52e7096b278c54ULL},
+      {"weighted", 0x28270618c1106bc9ULL},
+      {"scan2d", 0x25864e281e85bb64ULL},
+  };
+  gf::GF256 f;
+  std::map<std::string, std::uint64_t> got;
+
+  const Graph g = fixtures::gnp(24, 0.25, 2024);
+  const auto part = partition::block_partition(g, 2);
+  Xoshiro256 rng(4242);
+  const graph::DiGraph dg = graph::random_digraph(24, 60, rng);
+  partition::Partition halves{2, std::vector<int>(dg.num_vertices())};
+  for (graph::VertexId v = 0; v < dg.num_vertices(); ++v)
+    halves.owner[v] = v < dg.num_vertices() / 2 ? 0 : 1;
+  const TreeDecomposition td(graph::random_tree(5, rng), 0);
+  const Graph sg = fixtures::gnp(12, 0.25, 606);
+  std::vector<std::uint32_t> w(sg.num_vertices());
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(3));
+  const auto spart = partition::block_partition(sg, 2);
+  const Graph mg = fixtures::gnp(16, 0.3, 77);
+  const auto colors = fixtures::draw_colors(16, 2, 5);
+  const std::vector<std::uint32_t> motif{0, 1, 0};
+  const auto mpart = partition::block_partition(mg, 2);
+
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kBitsliced}) {
+    const std::string kn =
+        kernel == Kernel::kScalar ? "/scalar" : "/bitsliced";
+    {
+      Golden d;
+      const auto o = golden_opts(4, 77, kernel, golden_dir("kpath" + kn));
+      d.add_result(midas_kpath(g, part, o, f));
+      d.add_snapshots(o.checkpoint.dir);
+      got["kpath" + kn] = d.digest();
+    }
+    {
+      Golden d;
+      const auto o = golden_opts(4, 78, kernel, golden_dir("kdir" + kn));
+      d.add_result(midas_kpath_directed(dg, halves, o, f));
+      d.add_snapshots(o.checkpoint.dir);
+      got["kpath_dir" + kn] = d.digest();
+    }
+    {
+      Golden d;
+      const auto o = golden_opts(5, 79, kernel, golden_dir("ktree" + kn));
+      d.add_result(midas_ktree(g, part, td, o, f));
+      d.add_snapshots(o.checkpoint.dir);
+      got["ktree" + kn] = d.digest();
+    }
+    {
+      Golden d;
+      const auto o = golden_opts(4, 80, kernel, golden_dir("scan" + kn));
+      const auto r = midas_scan(sg, spart, w, o, f);
+      d.add_table(r.table.feasible);
+      d.add_stats(r.total_stats);
+      d.add_snapshots(o.checkpoint.dir);
+      got["scan" + kn] = d.digest();
+    }
+    {
+      Golden d;
+      const auto o = golden_opts(3, 81, kernel, golden_dir("motif" + kn));
+      d.add_result(midas_motif(mg, mpart, colors, motif, o, f));
+      d.add_snapshots(o.checkpoint.dir);
+      got["motif" + kn] = d.digest();
+    }
+  }
+  {
+    Golden d;
+    const auto o = golden_opts(4, 82, Kernel::kAuto, golden_dir("weighted"));
+    const auto r = midas_weighted_kpath(sg, spart, w, o, f);
+    d.add_table({r.feasible_weight});
+    d.add(r.max_weight.value_or(~0u));
+    d.add_stats(r.total_stats);
+    d.add_snapshots(o.checkpoint.dir);
+    got["weighted"] = d.digest();
+  }
+  {
+    Golden d;
+    Scan2DOptions so;
+    so.max_size = 3;
+    so.max_baseline = 5;
+    so.seed = 83;
+    so.max_rounds = 3;
+    std::vector<std::uint32_t> base(sg.num_vertices());
+    for (auto& x : base) x = 1 + static_cast<std::uint32_t>(rng.below(2));
+    d.add_table(
+        midas_scan2d(sg, spart, base, w, so, par_opts(3, 4, 2, 2), f)
+            .feasible);
+    got["scan2d"] = d.digest();
+  }
+
+  for (const auto& [name, value] : expected)
+    EXPECT_EQ(got[name], value)
+        << name << " digest 0x" << std::hex << got[name];
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Chaos suite: deterministic fault injection, failure-aware collectives,
-// and the k-path engine's phase-group failover.
+// and every detection engine's phase-group failover.
 //
 // The load-bearing claims (docs/RESILIENCE.md):
 //  - injector decisions are pure hashes — same plan, same decisions;
@@ -15,8 +15,10 @@
 #include <set>
 
 #include "core/detect_par.hpp"
+#include "core/scan2d.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gfsmall.hpp"
+#include "graph/digraph.hpp"
 #include "graph/generators.hpp"
 #include "partition/multilevel.hpp"
 #include "partition/partition.hpp"
@@ -518,9 +520,10 @@ TEST(EngineFailover, SingleGroupConfigurationCannotFailOver) {
 }
 
 // ---------------------------------------------------------------------------
-// Scan-statistics and tree-template drivers under faults. These engines do
-// not replicate phases, so a kill is a typed terminal error (never a hang);
-// transient channel faults must still cost time, not data.
+// Scan-statistics and tree-template drivers under faults. They fail over
+// like k-path (EngineFailoverAll below); with a single phase group there
+// is no replica, so a kill is a typed terminal error (never a hang).
+// Transient channel faults must still cost time, not data.
 // ---------------------------------------------------------------------------
 
 TEST(EngineChaosScan, ChannelFaultsNeverChangeTheTable) {
@@ -556,7 +559,7 @@ TEST(EngineChaosScan, KillTerminatesWithTypedErrorNotAHang) {
   const graph::Graph g = graph::erdos_renyi_gnp(12, 0.25, rng);
   std::vector<std::uint32_t> w(g.num_vertices(), 1);
   const auto part = partition::block_partition(g, 2);
-  MidasOptions faulty = chaos_opts(4, 2, 4);
+  MidasOptions faulty = chaos_opts(2, 2, 4);  // one group: no replica
   faulty.spmd.faults.kill_at_event(1, 9);
   EXPECT_THROW((void)midas_scan(g, part, w, faulty, f),
                runtime::FaultError);
@@ -590,8 +593,8 @@ TEST(EngineChaosTree, KillTerminatesWithTypedErrorNotAHang) {
   const TreeDecomposition td(tmpl, 0);
   const graph::Graph g = graph::erdos_renyi_gnp(18, 0.25, rng);
   const auto part = partition::block_partition(g, 2);
-  MidasOptions faulty = chaos_opts(4, 2, 4);
-  faulty.spmd.faults.kill_at_event(2, 7);
+  MidasOptions faulty = chaos_opts(2, 2, 4);  // one group: no replica
+  faulty.spmd.faults.kill_at_event(1, 7);
   EXPECT_THROW((void)midas_ktree(g, part, td, faulty, f),
                runtime::FaultError);
 }
@@ -680,6 +683,159 @@ TEST(Watchdog, SpeculationCombinedWithARealGroupLoss) {
   EXPECT_EQ(res.found, clean.found);
   EXPECT_EQ(res.found_round, clean.found_round);
   EXPECT_EQ(res.failed_ranks, (std::vector<int>{4, 5}));
+}
+
+// ---------------------------------------------------------------------------
+// Every engine fails over: one phase-engine skeleton, one failure protocol
+// ---------------------------------------------------------------------------
+
+/// What a run answered, flattened, and which ranks it lost.
+struct Outcome {
+  std::vector<int> answer;
+  std::vector<int> failed_ranks;
+  std::uint64_t stragglers_flagged = 0;
+};
+
+std::vector<int> flatten(const std::vector<std::vector<bool>>& table) {
+  std::vector<int> out;
+  for (const auto& row : table) out.insert(out.end(), row.begin(), row.end());
+  return out;
+}
+
+/// The inputs of every distributed engine, over one two-part partition.
+struct AllEngines {
+  gf::GF256 f;
+  graph::Graph g;
+  partition::Partition part;
+  graph::DiGraph dg;
+  partition::Partition halves;
+  graph::Graph tmpl;
+  std::vector<std::uint32_t> weights, baseline, colors;
+
+  AllEngines() {
+    Xoshiro256 rng(2024);
+    g = graph::erdos_renyi_gnp(16, 0.25, rng);
+    part = partition::block_partition(g, 2);
+    dg = graph::random_digraph(16, 40, rng);
+    halves = {2, std::vector<int>(dg.num_vertices())};
+    for (graph::VertexId v = 0; v < dg.num_vertices(); ++v)
+      halves.owner[v] = v < dg.num_vertices() / 2 ? 0 : 1;
+    tmpl = graph::random_tree(4, rng);
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      weights.push_back(static_cast<std::uint32_t>(rng.below(3)));
+      baseline.push_back(1 + static_cast<std::uint32_t>(rng.below(2)));
+      colors.push_back(static_cast<std::uint32_t>(rng.below(2)));
+    }
+  }
+
+  /// Run engine `name` (k = 4, motif {0, 1, 0, 1}, scan2d size cap 3).
+  Outcome run(const std::string& name, const MidasOptions& o) const {
+    Outcome out;
+    auto decision = [&](const MidasResult& r) {
+      out.answer = {r.found, r.found_round, r.rounds_run};
+      out.failed_ranks = r.failed_ranks;
+      out.stragglers_flagged = r.total_stats.stragglers_flagged;
+    };
+    if (name == "kpath") {
+      decision(midas_kpath(g, part, o, f));
+    } else if (name == "kpath_directed") {
+      decision(midas_kpath_directed(dg, halves, o, f));
+    } else if (name == "ktree") {
+      decision(midas_ktree(g, part, TreeDecomposition(tmpl, 0), o, f));
+    } else if (name == "motif") {
+      decision(midas_motif(g, part, colors, {0, 1, 0, 1}, o, f));
+    } else if (name == "scan") {
+      const auto r = midas_scan(g, part, weights, o, f);
+      out.answer = flatten(r.table.feasible);
+      out.failed_ranks = r.failed_ranks;
+      out.stragglers_flagged = r.total_stats.stragglers_flagged;
+    } else if (name == "weighted") {
+      const auto r = midas_weighted_kpath(g, part, weights, o, f);
+      out.answer = flatten({r.feasible_weight});
+      out.failed_ranks = r.failed_ranks;
+      out.stragglers_flagged = r.total_stats.stragglers_flagged;
+    } else {
+      Scan2DOptions so;
+      so.max_size = 3;
+      so.max_baseline = 4;
+      so.seed = o.seed;
+      so.max_rounds = o.max_rounds;
+      const auto r = midas_scan2d(g, part, baseline, weights, so, o, f);
+      out.answer = flatten(r.feasible);
+      out.failed_ranks = r.failed_ranks;
+    }
+    return out;
+  }
+};
+
+const std::vector<std::string> kEngines = {
+    "kpath", "kpath_directed", "ktree", "motif", "scan", "weighted",
+    "scan2d"};
+
+TEST(EngineFailoverAll, KillEventSweepOfOneGroupAlwaysBitExact) {
+  // Kill each rank of phase group 1 (world ranks 2 and 3) at a sweep of
+  // program points, in a two-group and a three-group geometry: every
+  // engine must mask the loss and return the fault-free answer.
+  const AllEngines fx;
+  for (const int n_ranks : {4, 6}) {
+    const MidasOptions base = chaos_opts(n_ranks, 2, 2);
+    for (const auto& name : kEngines) {
+      const Outcome clean = fx.run(name, base);
+      ASSERT_TRUE(clean.failed_ranks.empty());
+      for (const int rank : {2, 3})
+        for (const std::uint64_t ev : {0ull, 1ull, 3ull, 7ull, 11ull, 16ull}) {
+          MidasOptions faulty = base;
+          faulty.spmd.faults.kill_at_event(rank, ev);
+          const Outcome res = fx.run(name, faulty);
+          const std::string where = name + " N=" + std::to_string(n_ranks) +
+                                    " kill rank " + std::to_string(rank) +
+                                    " at event " + std::to_string(ev);
+          EXPECT_EQ(res.answer, clean.answer) << where;
+          EXPECT_EQ(res.failed_ranks, std::vector<int>{rank}) << where;
+        }
+    }
+  }
+}
+
+TEST(EngineFailoverAll, WholeGroupLossIsMaskedBitExact) {
+  const AllEngines fx;
+  const MidasOptions base = chaos_opts(6, 2, 2);
+  for (const auto& name : kEngines) {
+    MidasOptions faulty = base;
+    faulty.spmd.faults.kill_at_event(4, 5).kill_at_event(5, 11);
+    const Outcome res = fx.run(name, faulty);
+    EXPECT_EQ(res.answer, fx.run(name, base).answer) << name;
+    EXPECT_EQ(res.failed_ranks, (std::vector<int>{4, 5})) << name;
+  }
+}
+
+TEST(EngineFailoverAll, EveryGroupLostIsATypedFailure) {
+  const AllEngines fx;
+  for (const auto& name : kEngines) {
+    MidasOptions faulty = chaos_opts(4, 2, 2);
+    faulty.spmd.faults.kill_at_event(0, 6).kill_at_event(2, 9);
+    EXPECT_THROW((void)fx.run(name, faulty), runtime::FaultError) << name;
+  }
+}
+
+TEST(Watchdog, SpeculationIsBitExactForTreeAndScan) {
+  // The straggling-group setup of SpeculationReexecutesStragglingGroups-
+  // BitExact, on the tree and scan engines: the slow group's phases move
+  // to the fast replicas and the answer does not change.
+  const AllEngines fx;
+  const MidasOptions base = chaos_opts(8, 2, 2);
+  for (const std::string name : {"ktree", "scan"}) {
+    const Outcome clean = fx.run(name, base);
+    MidasOptions spec = base;
+    spec.spmd.faults.with_channel({-1, 2, 0.0, 0.0, 1.0, 5e-4});
+    spec.spmd.faults.with_channel({-1, 3, 0.0, 0.0, 1.0, 5e-4});
+    spec.spmd.watchdog.deadline_s = 1e-4;
+    spec.spmd.watchdog.speculate = true;
+    const Outcome res = fx.run(name, spec);
+    EXPECT_EQ(res.answer, clean.answer) << name;
+    EXPECT_TRUE(res.failed_ranks.empty()) << name;
+    EXPECT_GT(res.stragglers_flagged, 0u) << name;
+  }
 }
 
 TEST(EngineFailover, FailoverPhaseAssignmentIsDeterministicAndComplete) {

@@ -2,11 +2,18 @@
 // heterogeneous baselines, against exhaustive enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "baseline/brute_force.hpp"
+#include "core/errors.hpp"
 #include "core/scan2d.hpp"
 #include "partition/partition.hpp"
 #include "gf/gf256.hpp"
 #include "graph/generators.hpp"
+#include "runtime/checkpoint.hpp"
 #include "scan/scan_statistics.hpp"
 #include "util/rng.hpp"
 
@@ -135,6 +142,106 @@ TEST(Scan2D, KulldorffWithRealBaselines) {
       });
   EXPECT_EQ(best.baseline, 2u);  // cluster A: B = 1+1
   EXPECT_EQ(best.weight, 10u);   // W = 5+5
+}
+
+/// A small heterogeneous-baseline instance for the distributed driver.
+struct Scan2DFixture {
+  gf::GF256 f;
+  graph::Graph g;
+  std::vector<std::uint32_t> b, w;
+  partition::Partition part;
+  Scan2DOptions sopt;
+  MidasOptions mopt;
+
+  Scan2DFixture() {
+    Xoshiro256 rng(51);
+    g = graph::erdos_renyi_gnp(8, 0.3, rng);
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      b.push_back(1 + static_cast<std::uint32_t>(rng.below(2)));
+      w.push_back(static_cast<std::uint32_t>(rng.below(3)));
+    }
+    part = partition::block_partition(g, 2);
+    sopt.max_size = 3;
+    sopt.max_baseline = 5;
+    sopt.seed = 300;
+    sopt.max_rounds = 4;
+    mopt.n_ranks = 4;
+    mopt.n1 = 2;
+    mopt.n2 = 2;
+  }
+  [[nodiscard]] Feasibility2D run(const MidasOptions& o) const {
+    return midas_scan2d(g, part, b, w, sopt, o, f);
+  }
+};
+
+std::string scan2d_dir(const std::string& name) {
+  const auto p = std::filesystem::temp_directory_path() /
+                 ("midas_test_scan2d_" + name);
+  std::filesystem::remove_all(p);
+  std::filesystem::create_directories(p);
+  return p.string();
+}
+
+TEST(Scan2D, ResumeFromEverySnapshotIsBitExact) {
+  const Scan2DFixture fx;
+  const auto clean = fx.run(fx.mopt);
+
+  MidasOptions ck = fx.mopt;
+  ck.checkpoint.dir = scan2d_dir("src");
+  ck.checkpoint.every_rounds = 1;
+  ck.checkpoint.every_waves = 1;
+  ck.checkpoint.keep = 64;
+  (void)fx.run(ck);
+  runtime::CheckpointStore store(ck.checkpoint.dir);
+  auto files = store.snapshots();
+  std::reverse(files.begin(), files.end());
+  ASSERT_GE(files.size(), 3u);
+
+  for (std::size_t kill = 1; kill <= files.size(); ++kill) {
+    MidasOptions r = ck;
+    r.checkpoint.dir = scan2d_dir("resume_" + std::to_string(kill));
+    for (std::size_t i = 0; i < kill; ++i)
+      std::filesystem::copy_file(
+          files[i], std::filesystem::path(r.checkpoint.dir) /
+                        std::filesystem::path(files[i]).filename());
+    r.checkpoint.resume = true;
+    const auto res = fx.run(r);
+    EXPECT_EQ(res.feasible, clean.feasible) << "kill point " << kill;
+    EXPECT_EQ(res.vtime, clean.vtime) << "kill point " << kill;
+    EXPECT_GE(res.resumed_from_round, 0) << "kill point " << kill;
+  }
+}
+
+TEST(Scan2D, ChannelFaultsCostTimeNotTheTable) {
+  const Scan2DFixture fx;
+  const auto clean = fx.run(fx.mopt);
+  MidasOptions faulty = fx.mopt;
+  faulty.spmd.faults.seed = 77;
+  faulty.spmd.faults.with_channel({-1, -1, 0.10, 0.05, 0.10, 2e-5});
+  const auto res = fx.run(faulty);
+  EXPECT_EQ(res.feasible, clean.feasible);
+  EXPECT_TRUE(res.failed_ranks.empty());
+  EXPECT_GT(res.vtime, clean.vtime);
+}
+
+TEST(Scan2D, BadOptionsAreTypedOptionsErrors) {
+  const Scan2DFixture fx;
+  MidasOptions bits = fx.mopt;
+  bits.kernel = Kernel::kBitsliced;  // scan2d has no bit-sliced phase
+  EXPECT_THROW((void)fx.run(bits), InvalidOptionsError);
+  MidasOptions arity = fx.mopt;
+  arity.n1 = 4;
+  EXPECT_THROW((void)fx.run(arity), InvalidOptionsError);
+  Scan2DOptions big = fx.sopt;
+  big.max_size = 21;
+  EXPECT_THROW(
+      (void)midas_scan2d(fx.g, fx.part, fx.b, fx.w, big, fx.mopt, fx.f),
+      InvalidOptionsError);
+  const std::vector<std::uint32_t> short_b(fx.b.begin(), fx.b.end() - 1);
+  EXPECT_THROW(
+      (void)midas_scan2d(fx.g, fx.part, short_b, fx.w, fx.sopt, fx.mopt,
+                         fx.f),
+      InvalidOptionsError);
 }
 
 }  // namespace

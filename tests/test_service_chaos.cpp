@@ -144,8 +144,8 @@ QueryResult reference_run(const graph::Graph& g, const QuerySpec& q) {
 service::ServiceFaultPlan chaos_plan() {
   service::ServiceFaultPlan plan;
   plan.seed = 0xC4A05;
-  plan.query_kill_p = 0.35;     // rank kills: masked by failover on k-path,
-                                // typed retryable errors on tree/scan
+  plan.query_kill_p = 0.35;     // rank kills: masked by failover when a
+                                // phase group survives, else retryable
   plan.query_corrupt_p = 0.35;  // corruption: always masked by checksums
   plan.corrupt_channel_p = 0.05;
   plan.build_fail_p = 0.30;     // forced artifact-build failures
