@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/hashrand.hpp"
@@ -75,6 +76,21 @@ struct DetectResult {
 
 namespace detail_seq {
 
+/// The id a detector hashes vertex i by: ids[i], or i itself when `ids` is
+/// empty (see detect_kpath_seq).
+struct HashIds {
+  std::span<const graph::VertexId> ids;
+
+  HashIds(const graph::Graph& g, std::span<const graph::VertexId> hash_ids)
+      : ids(hash_ids) {
+    MIDAS_REQUIRE(ids.empty() || ids.size() == g.num_vertices(),
+                  "hash ids: none, or one per vertex");
+  }
+  [[nodiscard]] std::uint32_t operator()(graph::VertexId i) const {
+    return ids.empty() ? i : ids[i];
+  }
+};
+
 /// Decide scalar vs bitsliced for this (field, request) pair; rejects an
 /// explicit bitsliced request on a field the engine cannot mirror.
 template <typename F>
@@ -97,7 +113,7 @@ template <typename F>
 
 template <gf::GaloisField F>
 DetectResult kpath_scalar(const graph::Graph& g, const DetectOptions& opt,
-                          const F& f) {
+                          const F& f, HashIds id) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
@@ -113,10 +129,10 @@ DetectResult kpath_scalar(const graph::Graph& g, const DetectOptions& opt,
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
     for (graph::VertexId i = 0; i < n; ++i) {
-      v[i] = v_vector(opt.seed, round, i, k);
+      v[i] = v_vector(opt.seed, round, id(i), k);
       for (int j = 1; j <= k; ++j)
         r[static_cast<std::size_t>(j - 1) * n + i] =
-            field_coeff(f, opt.seed, round, i,
+            field_coeff(f, opt.seed, round, id(i),
                         static_cast<std::uint32_t>(j));
     }
     V total = f.zero();
@@ -158,7 +174,7 @@ DetectResult kpath_scalar(const graph::Graph& g, const DetectOptions& opt,
 
 template <gf::Bitsliceable F>
 DetectResult kpath_bitsliced(const graph::Graph& g, const DetectOptions& opt,
-                             const F& f) {
+                             const F& f, HashIds id) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
@@ -188,11 +204,11 @@ DetectResult kpath_bitsliced(const graph::Graph& g, const DetectOptions& opt,
     for (int round = 0; round < opt.rounds(); ++round) {
       MIDAS_TRACE_SPAN("seq.round", {"round", round});
       for (graph::VertexId i = 0; i < n; ++i) {
-        v[i] = v_vector(opt.seed, round, i, k);
-        r0[i] = field_coeff(f, opt.seed, round, i, 1);
+        v[i] = v_vector(opt.seed, round, id(i), k);
+        r0[i] = field_coeff(f, opt.seed, round, id(i), 1);
         for (int j = 2; j <= k; ++j)
           mats[static_cast<std::size_t>(j - 2) * n + i] =
-              bs.matrix(field_coeff(f, opt.seed, round, i,
+              bs.matrix(field_coeff(f, opt.seed, round, id(i),
                                     static_cast<std::uint32_t>(j)));
       }
       V total = f.zero();
@@ -246,12 +262,22 @@ template <gf::GaloisField F>
 }
 
 /// Decide whether `g` contains a simple path on exactly k vertices.
+///
+/// `hash_ids`, when nonempty, names the id each vertex draws its randomness
+/// by: vertex i hashes as hash_ids[i] (one distinct id per vertex), as a
+/// distributed rank hashes its local vertices by PartView::vertices.
+/// Detecting on an induced subgraph with its vertices' ids in the parent
+/// graph thus draws the very hashes the parent would (the witness peel's
+/// restricted oracle, core/witness.cpp). Empty means vertex i hashes as i.
+/// The same holds for every sequential detector below.
 template <gf::GaloisField F>
 DetectResult detect_kpath_seq(const graph::Graph& g, const DetectOptions& opt,
-                              const F& f = F{}) {
+                              const F& f = F{},
+                              std::span<const graph::VertexId> hash_ids = {}) {
   const int k = opt.k;
   MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
   const graph::VertexId n = g.num_vertices();
+  const detail_seq::HashIds id(g, hash_ids);
   DetectResult res;
   if (n == 0) return res;
   if (k == 1) {  // any vertex is a 1-path
@@ -264,9 +290,9 @@ DetectResult detect_kpath_seq(const graph::Graph& g, const DetectOptions& opt,
                    {"k", k});
   if (bitsliced) {
     if constexpr (gf::Bitsliceable<F>)
-      return detail_seq::kpath_bitsliced(g, opt, f);
+      return detail_seq::kpath_bitsliced(g, opt, f, id);
   }
-  return detail_seq::kpath_scalar(g, opt, f);
+  return detail_seq::kpath_scalar(g, opt, f, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,7 +303,7 @@ namespace detail_seq {
 
 template <gf::GaloisField F>
 DetectResult ktree_scalar(const graph::Graph& g, const TreeDecomposition& td,
-                          const DetectOptions& opt, const F& f) {
+                          const DetectOptions& opt, const F& f, HashIds id) {
   const int k = td.k();
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
@@ -292,7 +318,7 @@ DetectResult ktree_scalar(const graph::Graph& g, const TreeDecomposition& td,
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
     for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, k);
+      v[i] = v_vector(opt.seed, round, id(i), k);
     V total = f.zero();
     for (std::uint64_t t = 0; t < iters; ++t) {
       for (std::size_t s = 0; s < subs.size(); ++s) {
@@ -304,7 +330,7 @@ DetectResult ktree_scalar(const graph::Graph& g, const TreeDecomposition& td,
           for (graph::VertexId i = 0; i < n; ++i) {
             const bool live =
                 !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-            out[i] = live ? field_coeff(f, opt.seed, round, i,
+            out[i] = live ? field_coeff(f, opt.seed, round, id(i),
                                         static_cast<std::uint32_t>(s))
                           : f.zero();
           }
@@ -342,7 +368,8 @@ DetectResult ktree_scalar(const graph::Graph& g, const TreeDecomposition& td,
 template <gf::Bitsliceable F>
 DetectResult ktree_bitsliced(const graph::Graph& g,
                              const TreeDecomposition& td,
-                             const DetectOptions& opt, const F& f) {
+                             const DetectOptions& opt, const F& f,
+                             HashIds id) {
   const int k = td.k();
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
@@ -370,12 +397,12 @@ DetectResult ktree_bitsliced(const graph::Graph& g,
     for (int round = 0; round < opt.rounds(); ++round) {
       MIDAS_TRACE_SPAN("seq.round", {"round", round});
       for (graph::VertexId i = 0; i < n; ++i)
-        v[i] = v_vector(opt.seed, round, i, k);
+        v[i] = v_vector(opt.seed, round, id(i), k);
       for (std::size_t s = 0; s < subs.size(); ++s) {
         if (subs[s].child1 >= 0) continue;
         leafc[s].resize(n);
         for (graph::VertexId i = 0; i < n; ++i)
-          leafc[s][i] = field_coeff(f, opt.seed, round, i,
+          leafc[s][i] = field_coeff(f, opt.seed, round, id(i),
                                     static_cast<std::uint32_t>(s));
       }
       V total = f.zero();
@@ -430,14 +457,16 @@ DetectResult ktree_bitsliced(const graph::Graph& g,
 }  // namespace detail_seq
 
 /// Decide whether `g` contains a (non-induced) embedding of the template
-/// tree described by `td`.
+/// tree described by `td`. `hash_ids` as for detect_kpath_seq.
 template <gf::GaloisField F>
 DetectResult detect_ktree_seq(const graph::Graph& g,
                               const TreeDecomposition& td,
-                              const DetectOptions& opt, const F& f = F{}) {
+                              const DetectOptions& opt, const F& f = F{},
+                              std::span<const graph::VertexId> hash_ids = {}) {
   const int k = td.k();
   MIDAS_REQUIRE(k >= 1 && k <= 28, "template size must be in [1,28]");
   const graph::VertexId n = g.num_vertices();
+  const detail_seq::HashIds id(g, hash_ids);
   DetectResult res;
   if (n == 0) return res;
   const bool bitsliced = detail_seq::use_bitsliced(f, opt.kernel);
@@ -445,9 +474,9 @@ DetectResult detect_ktree_seq(const graph::Graph& g,
                    {"k", k});
   if (bitsliced) {
     if constexpr (gf::Bitsliceable<F>)
-      return detail_seq::ktree_bitsliced(g, td, opt, f);
+      return detail_seq::ktree_bitsliced(g, td, opt, f, id);
   }
-  return detail_seq::ktree_scalar(g, td, opt, f);
+  return detail_seq::ktree_scalar(g, td, opt, f, id);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +531,8 @@ namespace detail_seq {
 template <gf::GaloisField F>
 void scan_scalar(const graph::Graph& g,
                  const std::vector<std::uint32_t>& weights,
-                 const ScanOptions& opt, const F& f, FeasibilityTable& table) {
+                 const ScanOptions& opt, const F& f, HashIds id,
+                 FeasibilityTable& table) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
   using V = typename F::value_type;
@@ -521,7 +551,7 @@ void scan_scalar(const graph::Graph& g,
   for (int round = 0; round < opt.rounds(); ++round) {
     MIDAS_TRACE_SPAN("seq.round", {"round", round});
     for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, k);
+      v[i] = v_vector(opt.seed, round, id(i), k);
     for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
 
     for (std::uint64_t t = 0; t < iters; ++t) {
@@ -533,7 +563,7 @@ void scan_scalar(const graph::Graph& g,
             !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
         if (live)
           base[static_cast<std::size_t>(weights[i]) * n + i] =
-              field_coeff(f, opt.seed, round, i, 1);
+              field_coeff(f, opt.seed, round, id(i), 1);
       }
       // Inductive step over sizes.
       for (int j = 2; j <= k; ++j) {
@@ -541,7 +571,7 @@ void scan_scalar(const graph::Graph& g,
         std::fill(out.begin(), out.end(), f.zero());
         for (graph::VertexId i = 0; i < n; ++i) {
           for (graph::VertexId u : g.neighbors(i)) {
-            const V sig = sigma_coeff(f, opt.seed, round, i, u,
+            const V sig = sigma_coeff(f, opt.seed, round, id(i), id(u),
                                       static_cast<std::uint32_t>(j));
             for (int j1 = 1; j1 <= j - 1; ++j1) {
               const auto& own = vals[static_cast<std::size_t>(j1)];
@@ -596,7 +626,7 @@ void scan_scalar(const graph::Graph& g,
 template <gf::Bitsliceable F>
 void scan_bitsliced(const graph::Graph& g,
                     const std::vector<std::uint32_t>& weights,
-                    const ScanOptions& opt, const F& f,
+                    const ScanOptions& opt, const F& f, HashIds id,
                     FeasibilityTable& table) {
   const int k = opt.k;
   const graph::VertexId n = g.num_vertices();
@@ -624,8 +654,8 @@ void scan_bitsliced(const graph::Graph& g,
     for (int round = 0; round < opt.rounds(); ++round) {
       MIDAS_TRACE_SPAN("seq.round", {"round", round});
       for (graph::VertexId i = 0; i < n; ++i) {
-        v[i] = v_vector(opt.seed, round, i, k);
-        c1[i] = field_coeff(f, opt.seed, round, i, 1);
+        v[i] = v_vector(opt.seed, round, id(i), k);
+        c1[i] = field_coeff(f, opt.seed, round, id(i), 1);
       }
       for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
 
@@ -652,8 +682,9 @@ void scan_bitsliced(const graph::Graph& g,
                 }))
               continue;
             for (graph::VertexId u : g.neighbors(i)) {
-              const BS::Matrix sig = bs.matrix(sigma_coeff(
-                  f, opt.seed, round, i, u, static_cast<std::uint32_t>(j)));
+              const BS::Matrix sig = bs.matrix(
+                  sigma_coeff(f, opt.seed, round, id(i), id(u),
+                              static_cast<std::uint32_t>(j)));
               fold.template neighbour<LC>(sig, [&](int j2) {
                 return vals[static_cast<std::size_t>(j2)].data() +
                        static_cast<std::size_t>(u) * LC;
@@ -691,14 +722,17 @@ void scan_bitsliced(const graph::Graph& g,
 
 /// Build the (size, weight) feasibility table for connected subgraphs of up
 /// to `k` vertices, where vertex i contributes integer weight weights[i].
+/// `hash_ids` as for detect_kpath_seq (σ hashes both endpoints' ids).
 template <gf::GaloisField F>
-FeasibilityTable detect_scan_seq(const graph::Graph& g,
-                                 const std::vector<std::uint32_t>& weights,
-                                 const ScanOptions& opt, const F& f = F{}) {
+FeasibilityTable detect_scan_seq(
+    const graph::Graph& g, const std::vector<std::uint32_t>& weights,
+    const ScanOptions& opt, const F& f = F{},
+    std::span<const graph::VertexId> hash_ids = {}) {
   const int k = opt.k;
   MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
   const graph::VertexId n = g.num_vertices();
   MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
+  const detail_seq::HashIds id(g, hash_ids);
 
   // Maximum achievable weight of a k-subset bounds the table width.
   const std::uint32_t wmax = max_weight_of(weights, k);
@@ -715,11 +749,11 @@ FeasibilityTable detect_scan_seq(const graph::Graph& g,
                    {"k", k});
   if (bitsliced) {
     if constexpr (gf::Bitsliceable<F>) {
-      detail_seq::scan_bitsliced(g, weights, opt, f, table);
+      detail_seq::scan_bitsliced(g, weights, opt, f, id, table);
       return table;
     }
   }
-  detail_seq::scan_scalar(g, weights, opt, f, table);
+  detail_seq::scan_scalar(g, weights, opt, f, id, table);
   return table;
 }
 

@@ -162,7 +162,8 @@ void shade_block(const gf::BitslicedGF& bs, W* dst,
 
 template <gf::GaloisField F>
 DetectResult motif_scalar(const graph::Graph& g, const ShadePlan& plan,
-                          const DetectOptions& opt, const F& f) {
+                          const DetectOptions& opt, const F& f,
+                          detail_seq::HashIds id) {
   const int k = plan.k;
   const graph::VertexId n = g.num_vertices();
   DetectResult res;
@@ -182,7 +183,7 @@ DetectResult motif_scalar(const graph::Graph& g, const ShadePlan& plan,
       for (int s = 0; s < k; ++s)
         if (((mask >> s) & 1u) != 0)
           us[static_cast<std::size_t>(i) * k + s] = shade_coeff(
-              f, opt.seed, round, i, static_cast<std::uint32_t>(s));
+              f, opt.seed, round, id(i), static_cast<std::uint32_t>(s));
     }
     V total = f.zero();
     for (std::uint64_t t = 0; t < iters; ++t) {
@@ -196,7 +197,7 @@ DetectResult motif_scalar(const graph::Graph& g, const ShadePlan& plan,
         std::fill(out.begin(), out.end(), f.zero());
         for (graph::VertexId i = 0; i < n; ++i) {
           for (graph::VertexId u : g.neighbors(i)) {
-            const V sig = sigma_coeff(f, opt.seed, round, i, u,
+            const V sig = sigma_coeff(f, opt.seed, round, id(i), id(u),
                                       static_cast<std::uint32_t>(j));
             V conv = f.zero();
             for (int j1 = 1; j1 <= j - 1; ++j1)
@@ -226,7 +227,8 @@ DetectResult motif_scalar(const graph::Graph& g, const ShadePlan& plan,
 
 template <gf::Bitsliceable F>
 DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
-                             const DetectOptions& opt, const F& f) {
+                             const DetectOptions& opt, const F& f,
+                             detail_seq::HashIds id) {
   using BS = gf::BitslicedGF;
   using V = typename F::value_type;
   const BS bs(f);
@@ -258,7 +260,7 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
           if (((mask >> s) & 1u) != 0)
             us[static_cast<std::size_t>(i) * k + s] =
                 static_cast<BS::value_type>(shade_coeff(
-                    f, opt.seed, round, i, static_cast<std::uint32_t>(s)));
+                    f, opt.seed, round, id(i), static_cast<std::uint32_t>(s)));
       }
       auto& base = vals[1];
       for (graph::VertexId i = 0; i < n; ++i)
@@ -281,8 +283,9 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
             continue;
           for (graph::VertexId u : g.neighbors(i)) {
             const BS::Matrix sig =
-                bs.matrix(static_cast<BS::value_type>(sigma_coeff(
-                    f, opt.seed, round, i, u, static_cast<std::uint32_t>(j))));
+                bs.matrix(static_cast<BS::value_type>(
+                    sigma_coeff(f, opt.seed, round, id(i), id(u),
+                                static_cast<std::uint32_t>(j))));
             fold.template neighbour<LC>(sig, [&](int j2) {
               return vals[static_cast<std::size_t>(j2)].data() +
                      static_cast<std::size_t>(u) * wpv;
@@ -318,23 +321,26 @@ DetectResult motif_bitsliced(const graph::Graph& g, const ShadePlan& plan,
 /// "No" is always correct; a "yes" instance is missed with probability at
 /// most (2k-1)/2^l per round (requires 2^l > 2k-1 to be meaningful; the
 /// service enforces (2k-1)/2^l <= 4/5 so rounds() keeps its usual meaning).
+/// `hash_ids` as for detect_kpath_seq (σ hashes both endpoints' ids).
 template <gf::GaloisField F>
 DetectResult detect_motif_seq(const graph::Graph& g,
                               const std::vector<std::uint32_t>& colors,
                               const std::vector<std::uint32_t>& motif,
-                              const DetectOptions& opt, const F& f = F{}) {
+                              const DetectOptions& opt, const F& f = F{},
+                              std::span<const graph::VertexId> hash_ids = {}) {
   MIDAS_REQUIRE(colors.size() == g.num_vertices(),
                 "one color per vertex required");
   const ShadePlan plan = make_shade_plan(colors, motif);
+  const detail_seq::HashIds id(g, hash_ids);
   if constexpr (gf::Bitsliceable<F>) {
     if (detail_seq::use_bitsliced(f, opt.kernel))
-      return detail_motif::motif_bitsliced(g, plan, opt, f);
+      return detail_motif::motif_bitsliced(g, plan, opt, f, id);
   } else {
     MIDAS_REQUIRE(opt.kernel != Kernel::kBitsliced,
                   "kernel=bitsliced requires a GF(2^l) field with l <= 16 "
                   "that exposes modulus() (GF256 or GFSmall)");
   }
-  return detail_motif::motif_scalar(g, plan, opt, f);
+  return detail_motif::motif_scalar(g, plan, opt, f, id);
 }
 
 }  // namespace midas::core

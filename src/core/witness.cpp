@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 
 #include "core/motif.hpp"
 #include "gf/gf256.hpp"
@@ -404,32 +405,66 @@ bool validate_tree_embedding(const Graph& g, const Graph& tree,
 // ---------------------------------------------------------------------------
 // Known-feasible peels
 //
-// Every witness is a connected subgraph on k vertices (j for scan), so a
-// residual with no component that large holds none, and the one-sided
-// oracle (a "no" instance evaluates to zero) is certain to answer "no":
-// each oracle skips such a residual. A skipped call still consumes its
-// seed, so every later call, and the witness, is the same as with no skip.
+// Every witness is a connected subgraph on k vertices (j for scan), so it
+// lies inside one component of at least k vertices. A component with fewer
+// adds exactly zero to every round's total: each of its terms repeats a
+// vertex and cancels in characteristic 2 (a "no" instance evaluates to
+// zero). So each oracle call runs only on the residual's components of >= k
+// vertices, and hashes each of their vertices by its index in the residual
+// — the id the full residual's oracle would give it. Every round total, and
+// with it the answer and its round, is then bit-identical to the oracle on
+// the whole residual; a residual with no such component is a "no" with no
+// oracle run at all. Every call consumes its seed (opt.seed + 1 + call), so
+// the survivors and the witness are those of the unrestricted peel.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Run chunked_peel over g, asking `oracle(sub, hash_ids, seed)` about the
+/// part of each residual that can hold a witness of `size` vertices (see
+/// above); returns the survivors.
+template <typename Oracle>
+std::vector<bool> peel_on_components(const Graph& g, int size,
+                                     std::uint64_t seed, Oracle&& oracle) {
+  graph::ComponentPass pass(g);
+  std::vector<bool> alive(g.num_vertices(), true);
+  std::uint64_t call = 0;
+  chunked_peel(
+      g.num_vertices(),
+      [&](const std::vector<VertexId>& keep) {
+        const std::uint64_t call_seed = seed + 1 + (++call);
+        pass.run(keep, static_cast<std::size_t>(size));
+        if (pass.vertices().empty()) return false;
+        return oracle(graph::induced_subgraph(g, pass.vertices()),
+                      std::span<const VertexId>(pass.keep_index()),
+                      call_seed);
+      },
+      alive);
+  return alive;
+}
+
+/// `values` (one per vertex of g) restricted to the vertices of `sub`.
+std::vector<std::uint32_t> values_on(const graph::InducedSubgraph& sub,
+                                     const std::vector<std::uint32_t>& values) {
+  std::vector<std::uint32_t> out(sub.to_original.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = values[sub.to_original[i]];
+  return out;
+}
+
+}  // namespace
 
 std::optional<std::vector<VertexId>> peel_kpath(const Graph& g, int k,
                                                 const WitnessOptions& opt) {
-  std::vector<bool> alive(g.num_vertices(), true);
-  std::uint64_t call = 0;
-  with_witness_field(opt.field_bits, [&](const auto& f) {
-    chunked_peel(
-        g.num_vertices(),
-        [&](const std::vector<VertexId>& keep) {
-          // Fresh randomness per call.
-          const std::uint64_t seed = opt.seed + 1 + (++call);
-          if (!graph::has_component_of_size(g, keep,
-                                            static_cast<std::size_t>(k)))
-            return false;
-          const auto sub = graph::induced_subgraph(g, keep);
+  const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
+    return peel_on_components(
+        g, k, opt.seed,
+        [&](const graph::InducedSubgraph& sub,
+            std::span<const VertexId> ids, std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_kpath_seq(sub.graph, dv, f).found;
-        },
-        alive);
+          return detect_kpath_seq(sub.graph, dv, f, ids).found;
+        });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
   auto local = exact_kpath(sub.graph, k);
@@ -448,36 +483,26 @@ std::optional<std::vector<VertexId>> peel_connected_subgraph(
   ScanOptions s;
   s.k = j;
   s.epsilon = opt.epsilon;
-  s.seed = opt.seed;
   s.kernel = opt.kernel;
   s.watch_j = j;  // the oracle only cares about cell (j, z)
   s.watch_z = z;
-  auto remap = [&](const std::vector<VertexId>& keep) {
-    auto sub = graph::induced_subgraph(g, keep);
-    std::vector<std::uint32_t> w(sub.to_original.size());
-    for (std::size_t i = 0; i < w.size(); ++i)
-      w[i] = weights[sub.to_original[i]];
-    return std::make_pair(std::move(sub), std::move(w));
-  };
-  std::vector<bool> alive(g.num_vertices(), true);
-  std::uint64_t call = 0;
-  with_witness_field(opt.field_bits, [&](const auto& f) {
-    chunked_peel(
-        g.num_vertices(),
-        [&](const std::vector<VertexId>& keep) {
-          const std::uint64_t seed = opt.seed + 1 + (++call);
-          if (!graph::has_component_of_size(g, keep,
-                                            static_cast<std::size_t>(j)))
-            return false;
-          auto [sub, w] = remap(keep);
+  // The restricted table's weight bound may be lower than the residual's;
+  // a cell above it is zero on both, since no connected j-set reaches it.
+  const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
+    return peel_on_components(
+        g, j, opt.seed,
+        [&](const graph::InducedSubgraph& sub,
+            std::span<const VertexId> ids, std::uint64_t seed) {
           ScanOptions sv = s;
           sv.seed = seed;
-          return detect_scan_seq(sub.graph, w, sv, f).at(j, z);
-        },
-        alive);
+          return detect_scan_seq(sub.graph, values_on(sub, weights), sv, f,
+                                 ids)
+              .at(j, z);
+        });
   });
-  auto [sub, w] = remap(alive_list(alive));
-  auto local = exact_connected_subgraph(sub.graph, w, j, z);
+  const auto sub = graph::induced_subgraph(g, alive_list(alive));
+  auto local =
+      exact_connected_subgraph(sub.graph, values_on(sub, weights), j, z);
   if (!local) return std::nullopt;
   std::vector<VertexId> subset;
   subset.reserve(local->size());
@@ -490,22 +515,15 @@ std::optional<std::vector<VertexId>> peel_tree_embedding(
     const Graph& g, const Graph& tree, const WitnessOptions& opt) {
   const int k = static_cast<int>(tree.num_vertices());
   TreeDecomposition td(tree, 0);
-  std::vector<bool> alive(g.num_vertices(), true);
-  std::uint64_t call = 0;
-  with_witness_field(opt.field_bits, [&](const auto& f) {
-    chunked_peel(
-        g.num_vertices(),
-        [&](const std::vector<VertexId>& keep) {
-          const std::uint64_t seed = opt.seed + 1 + (++call);
-          if (!graph::has_component_of_size(g, keep,
-                                            static_cast<std::size_t>(k)))
-            return false;
-          const auto sub = graph::induced_subgraph(g, keep);
+  const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
+    return peel_on_components(
+        g, k, opt.seed,
+        [&](const graph::InducedSubgraph& sub,
+            std::span<const VertexId> ids, std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_ktree_seq(sub.graph, td, dv, f).found;
-        },
-        alive);
+          return detect_ktree_seq(sub.graph, td, dv, f, ids).found;
+        });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
   auto local = exact_tree_embedding(sub.graph, tree);
@@ -524,32 +542,20 @@ std::optional<std::vector<VertexId>> peel_motif(
                 "one color per vertex required");
   MIDAS_REQUIRE(!motif.empty(), "motif must be nonempty");
   const int k = static_cast<int>(motif.size());
-  auto remap = [&](const std::vector<VertexId>& keep) {
-    auto sub = graph::induced_subgraph(g, keep);
-    std::vector<std::uint32_t> c(sub.to_original.size());
-    for (std::size_t i = 0; i < c.size(); ++i)
-      c[i] = colors[sub.to_original[i]];
-    return std::make_pair(std::move(sub), std::move(c));
-  };
-  std::vector<bool> alive(g.num_vertices(), true);
-  std::uint64_t call = 0;
-  with_witness_field(opt.field_bits, [&](const auto& f) {
-    chunked_peel(
-        g.num_vertices(),
-        [&](const std::vector<VertexId>& keep) {
-          const std::uint64_t seed = opt.seed + 1 + (++call);
-          if (!graph::has_component_of_size(g, keep,
-                                            static_cast<std::size_t>(k)))
-            return false;
-          auto [sub, c] = remap(keep);
+  const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
+    return peel_on_components(
+        g, k, opt.seed,
+        [&](const graph::InducedSubgraph& sub,
+            std::span<const VertexId> ids, std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_motif_seq(sub.graph, c, motif, dv, f).found;
-        },
-        alive);
+          return detect_motif_seq(sub.graph, values_on(sub, colors), motif,
+                                  dv, f, ids)
+              .found;
+        });
   });
-  auto [sub, c] = remap(alive_list(alive));
-  auto local = exact_motif(sub.graph, c, motif);
+  const auto sub = graph::induced_subgraph(g, alive_list(alive));
+  auto local = exact_motif(sub.graph, values_on(sub, colors), motif);
   if (!local) return std::nullopt;  // no witness: the caller's "yes" lied
   std::vector<VertexId> vs;
   vs.reserve(local->size());

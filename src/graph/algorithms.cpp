@@ -96,35 +96,56 @@ InducedSubgraph induced_subgraph(const Graph& g,
   return out;
 }
 
-bool has_component_of_size(const Graph& g, const std::vector<VertexId>& keep,
-                           std::size_t k) {
+ComponentPass::ComponentPass(const Graph& g)
+    : g_(&g), slot_(g.num_vertices(), kUnreachable) {}
+
+void ComponentPass::run(const std::vector<VertexId>& keep, std::size_t k) {
   MIDAS_REQUIRE(k >= 1, "component size must be at least 1");
-  if (keep.size() < k) return false;
-  // 0 = outside keep, 1 = kept and unvisited, 2 = visited.
-  std::vector<std::uint8_t> state(g.num_vertices(), 0);
-  for (VertexId v : keep) {
-    MIDAS_REQUIRE(v < g.num_vertices(), "kept vertex out of range");
-    state[v] = 1;
-  }
-  if (k == 1) return true;  // keep is nonempty
-  std::vector<VertexId> stack;
-  for (VertexId s : keep) {
-    if (state[s] != 1) continue;
-    state[s] = 2;
-    stack.push_back(s);
-    std::size_t size = 1;
-    while (!stack.empty()) {
-      const VertexId u = stack.back();
-      stack.pop_back();
-      for (VertexId v : g.neighbors(u)) {
-        if (state[v] != 1) continue;
-        if (++size >= k) return true;
-        state[v] = 2;
-        stack.push_back(v);
+  vertices_.clear();
+  keep_index_.clear();
+  if (keep.size() < k) return;
+  for (std::size_t i = 0; i < keep.size(); ++i)
+    MIDAS_REQUIRE(keep[i] < g_->num_vertices() &&
+                      (i == 0 || keep[i - 1] < keep[i]),
+                  "kept vertices must be in range and ascending");
+  for (VertexId i = 0; i < keep.size(); ++i) slot_[keep[i]] = i;
+  // 0 = unvisited, 1 = in a component of < k vertices, 2 = of >= k.
+  state_.assign(keep.size(), 0);
+  for (VertexId s = 0; s < keep.size(); ++s) {
+    if (state_[s] != 0) continue;
+    state_[s] = 1;
+    members_.assign(1, s);
+    stack_.assign(1, keep[s]);
+    while (!stack_.empty()) {
+      const VertexId u = stack_.back();
+      stack_.pop_back();
+      for (VertexId v : g_->neighbors(u)) {
+        const VertexId t = slot_[v];
+        if (t == kUnreachable || state_[t] != 0) continue;
+        state_[t] = 1;
+        members_.push_back(t);
+        stack_.push_back(v);
       }
     }
+    if (members_.size() >= k)
+      for (VertexId t : members_) state_[t] = 2;
   }
-  return false;
+  for (VertexId v : keep) slot_[v] = kUnreachable;
+  for (VertexId i = 0; i < keep.size(); ++i) {
+    if (state_[i] != 2) continue;
+    vertices_.push_back(keep[i]);
+    keep_index_.push_back(i);
+  }
+}
+
+bool has_component_of_size(const Graph& g, const std::vector<VertexId>& keep,
+                           std::size_t k) {
+  std::vector<VertexId> sorted(keep);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  ComponentPass pass(g);
+  pass.run(sorted, k);
+  return !pass.vertices().empty();
 }
 
 DegreeStats degree_stats(const Graph& g) {

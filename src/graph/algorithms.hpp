@@ -33,9 +33,38 @@ struct InducedSubgraph {
 [[nodiscard]] InducedSubgraph induced_subgraph(
     const Graph& g, const std::vector<VertexId>& vertices);
 
-/// True if some connected component of the subgraph induced on `keep` has
-/// at least k >= 1 vertices. A DFS over g restricted to `keep` that stops
-/// as soon as one component reaches k; builds no induced subgraph.
+/// One component pass over the subgraph of g induced on a kept set: which
+/// kept vertices lie in a connected component of at least k vertices. The
+/// result lists them ascending, each with its index in `keep`. A pass
+/// builds no induced subgraph, and its scratch is sized to g once, so a
+/// caller that asks many times about one graph (the witness peel) pays for
+/// no n-sized allocation per call.
+class ComponentPass {
+ public:
+  explicit ComponentPass(const Graph& g);
+
+  /// Recompute for `keep` (ascending, no duplicates) and k >= 1.
+  void run(const std::vector<VertexId>& keep, std::size_t k);
+
+  /// Kept vertices in components of >= k vertices, ascending.
+  [[nodiscard]] const std::vector<VertexId>& vertices() const {
+    return vertices_;
+  }
+  /// keep_index()[i] is the index of vertices()[i] in `keep`.
+  [[nodiscard]] const std::vector<VertexId>& keep_index() const {
+    return keep_index_;
+  }
+
+ private:
+  const Graph* g_;
+  std::vector<VertexId> slot_;  // per vertex of g: index in keep, or none
+  std::vector<std::uint8_t> state_;  // per index in keep
+  std::vector<VertexId> stack_, members_;
+  std::vector<VertexId> vertices_, keep_index_;
+};
+
+/// True if some connected component of the subgraph induced on `keep` (any
+/// order) has at least k >= 1 vertices.
 [[nodiscard]] bool has_component_of_size(const Graph& g,
                                          const std::vector<VertexId>& keep,
                                          std::size_t k);

@@ -76,21 +76,29 @@ Level coarsen(Level& fine, Xoshiro256& rng) {
     ++coarse_n;
   }
 
-  // Aggregate edges between coarse vertices into a dense accumulator.
-  // Edge weights are >= 1, so a zero slot is an untouched one; each coarse
-  // vertex's touched neighbours are emitted sorted and their slots reset.
-  // Coarse vertices are visited in id order through their smaller fine
-  // member, the order the ids were assigned in.
+  // Aggregate edges between coarse vertices without sorting: visit the
+  // source coarse vertices in id order (through their smaller fine member,
+  // the order the ids were assigned in) and append each cross edge to its
+  // target's bucket. A bucket then lists its coarse vertex's neighbours
+  // ascending, each in a run of the fine edges between the two; the graph
+  // is symmetric, so summing a run gives the coarse edge's weight.
   Level coarse;
   coarse.n = coarse_n;
   coarse.vweight.assign(coarse_n, 0);
   for (VertexId v = 0; v < n; ++v)
     coarse.vweight[fine.parent[v]] += fine.vweight[v];
-  coarse.offsets.assign(static_cast<std::size_t>(coarse_n) + 1, 0);
-  coarse.nbr.reserve(fine.nbr.size());
-  coarse.eweight.reserve(fine.nbr.size());
-  std::vector<std::uint32_t> acc(coarse_n, 0);
-  std::vector<VertexId> touched;
+  std::vector<std::uint64_t> start(static_cast<std::size_t>(coarse_n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexId cv = fine.parent[v];
+    for (auto e = fine.offsets[v]; e < fine.offsets[v + 1]; ++e) {
+      const VertexId cu = fine.parent[fine.nbr[e]];
+      if (cu != cv) ++start[cu + 1];
+    }
+  }
+  for (VertexId c = 0; c < coarse_n; ++c) start[c + 1] += start[c];
+  std::vector<VertexId> src(start[coarse_n]);
+  std::vector<std::uint32_t> w(start[coarse_n]);
+  std::vector<std::uint64_t> fill(start.begin(), start.end() - 1);
   for (VertexId v = 0; v < n; ++v) {
     const VertexId m = match[v];
     if (m < v) continue;  // visited through m
@@ -99,20 +107,26 @@ Level coarsen(Level& fine, Xoshiro256& rng) {
       for (auto e = fine.offsets[x]; e < fine.offsets[x + 1]; ++e) {
         const VertexId cu = fine.parent[fine.nbr[e]];
         if (cu == cv) continue;
-        if (acc[cu] == 0) touched.push_back(cu);
-        acc[cu] += fine.eweight[e];
+        src[fill[cu]] = cv;
+        w[fill[cu]++] = fine.eweight[e];
       }
     };
     add_edges(v);
     if (m != v) add_edges(m);
-    std::sort(touched.begin(), touched.end());
-    for (VertexId cu : touched) {
-      coarse.nbr.push_back(cu);
-      coarse.eweight.push_back(acc[cu]);
-      acc[cu] = 0;
+  }
+  coarse.offsets.assign(static_cast<std::size_t>(coarse_n) + 1, 0);
+  coarse.nbr.reserve(src.size());
+  coarse.eweight.reserve(src.size());
+  for (VertexId cu = 0; cu < coarse_n; ++cu) {
+    for (auto e = start[cu]; e < start[cu + 1]; ++e) {
+      if (e > start[cu] && src[e] == src[e - 1]) {
+        coarse.eweight.back() += w[e];
+      } else {
+        coarse.nbr.push_back(src[e]);
+        coarse.eweight.push_back(w[e]);
+      }
     }
-    coarse.offsets[cv + 1] = coarse.nbr.size();
-    touched.clear();
+    coarse.offsets[cu + 1] = coarse.nbr.size();
   }
   return coarse;
 }

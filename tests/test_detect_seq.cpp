@@ -7,11 +7,15 @@
 // epsilon and the sweeps tolerate zero failures only on the "no" side.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "baseline/brute_force.hpp"
 #include "core/detect_seq.hpp"
+#include "core/motif.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf64.hpp"
 #include "gf/gfsmall.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
 
@@ -269,6 +273,203 @@ TEST(ScanSeq, SingletonAndUniformWeights) {
           << "j=" << j << " z=" << z;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hash-id maps: vertex i hashes as hash_ids[i]
+// ---------------------------------------------------------------------------
+
+/// A graph relabelled by a random permutation, with the inverse permutation:
+/// vertex x of `graph` is vertex `inverse[x]` of the original, so detecting
+/// on it with `inverse` as hash ids must reproduce the original's totals.
+struct Relabelled {
+  Graph graph;
+  std::vector<graph::VertexId> inverse;
+
+  /// One value per vertex of the original, moved to the relabelled ids.
+  std::vector<std::uint32_t> carry(
+      const std::vector<std::uint32_t>& values) const {
+    std::vector<std::uint32_t> out(values.size());
+    for (graph::VertexId x = 0; x < inverse.size(); ++x)
+      out[x] = values[inverse[x]];
+    return out;
+  }
+};
+
+Relabelled relabel(const Graph& g, std::uint64_t seed) {
+  const graph::VertexId n = g.num_vertices();
+  Relabelled r;
+  r.inverse.resize(n);
+  std::iota(r.inverse.begin(), r.inverse.end(), 0);
+  Xoshiro256 rng(seed);
+  for (graph::VertexId i = n; i > 1; --i)
+    std::swap(r.inverse[i - 1], r.inverse[rng.below(i)]);
+  std::vector<graph::VertexId> perm(n);
+  for (graph::VertexId x = 0; x < n; ++x) perm[r.inverse[x]] = x;
+  graph::GraphBuilder b(n);
+  for (auto [u, v] : g.edge_list()) b.add_edge(perm[u], perm[v]);
+  r.graph = b.build();
+  return r;
+}
+
+/// A gnp graph dense enough for 4-paths, sparse enough that some rounds
+/// miss: every round total is compared, so both kinds must occur.
+Graph hash_id_graph() {
+  Xoshiro256 rng(404);
+  return graph::erdos_renyi_gnp(24, 0.12, rng);
+}
+
+std::vector<graph::VertexId> identity_ids(graph::VertexId n) {
+  std::vector<graph::VertexId> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
+constexpr Kernel kBothKernels[] = {Kernel::kScalar, Kernel::kBitsliced};
+
+/// Twelve rounds, no early exit: a run of round totals to compare.
+DetectOptions hash_id_opts(int k, Kernel kernel) {
+  DetectOptions o = opts(k, 0.05, 31);
+  o.max_rounds = 12;
+  o.early_exit = false;
+  o.kernel = kernel;
+  return o;
+}
+
+TEST(HashIds, KpathIdentityAndRelabelKeepRoundTotals) {
+  const gf::GFSmall f(5);
+  const Graph g = hash_id_graph();
+  const auto id = identity_ids(g.num_vertices());
+  const auto r = relabel(g, 17);
+  for (Kernel kernel : kBothKernels)
+    for (int k = 3; k <= 5; ++k) {
+      const DetectOptions o = hash_id_opts(k, kernel);
+      const auto plain = detect_kpath_seq(g, o, f);
+      EXPECT_EQ(detect_kpath_seq(g, o, f, id).round_totals,
+                plain.round_totals);
+      EXPECT_EQ(detect_kpath_seq(r.graph, o, f, r.inverse).round_totals,
+                plain.round_totals)
+          << "k=" << k;
+      EXPECT_NE(detect_kpath_seq(r.graph, o, f).round_totals,
+                plain.round_totals)
+          << "relabelling without ids must change the hashes";
+    }
+}
+
+TEST(HashIds, KtreeIdentityAndRelabelKeepRoundTotals) {
+  const gf::GFSmall f(5);
+  const Graph g = hash_id_graph();
+  const auto id = identity_ids(g.num_vertices());
+  const auto r = relabel(g, 18);
+  const TreeDecomposition td(graph::star_graph(4), 0);
+  for (Kernel kernel : kBothKernels) {
+    const DetectOptions o = hash_id_opts(td.k(), kernel);
+    const auto plain = detect_ktree_seq(g, td, o, f);
+    EXPECT_EQ(detect_ktree_seq(g, td, o, f, id).round_totals,
+              plain.round_totals);
+    EXPECT_EQ(detect_ktree_seq(r.graph, td, o, f, r.inverse).round_totals,
+              plain.round_totals);
+  }
+}
+
+TEST(HashIds, MotifIdentityAndRelabelKeepRoundTotals) {
+  const gf::GFSmall f(5);
+  const Graph g = hash_id_graph();
+  const auto id = identity_ids(g.num_vertices());
+  const auto r = relabel(g, 19);
+  std::vector<std::uint32_t> colors(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) colors[v] = v % 3;
+  const std::vector<std::uint32_t> motif{0, 1, 1, 2};
+  for (Kernel kernel : kBothKernels) {
+    const DetectOptions o = hash_id_opts(4, kernel);
+    const auto plain = detect_motif_seq(g, colors, motif, o, f);
+    EXPECT_EQ(detect_motif_seq(g, colors, motif, o, f, id).round_totals,
+              plain.round_totals);
+    EXPECT_EQ(detect_motif_seq(r.graph, r.carry(colors), motif, o, f,
+                               r.inverse)
+                  .round_totals,
+              plain.round_totals);
+  }
+}
+
+TEST(HashIds, ScanIdentityAndRelabelKeepTheTable) {
+  const gf::GFSmall f(5);
+  const Graph g = hash_id_graph();
+  const auto id = identity_ids(g.num_vertices());
+  const auto r = relabel(g, 20);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) w[v] = (v * 7) % 4;
+  for (Kernel kernel : kBothKernels) {
+    ScanOptions o;
+    o.k = 4;
+    o.seed = 33;
+    o.max_rounds = 2;  // few rounds: some true cells stay unset
+    o.kernel = kernel;
+    const auto plain = detect_scan_seq(g, w, o, f);
+    EXPECT_EQ(detect_scan_seq(g, w, o, f, id).feasible, plain.feasible);
+    EXPECT_EQ(detect_scan_seq(r.graph, r.carry(w), o, f, r.inverse).feasible,
+              plain.feasible);
+  }
+}
+
+TEST(HashIds, RejectsAMapOfTheWrongSize) {
+  const gf::GF256 f;
+  const Graph g = graph::path_graph(4);
+  const std::vector<graph::VertexId> short_ids{0, 1, 2};
+  EXPECT_THROW((void)detect_kpath_seq(g, opts(3), f, short_ids),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The component pass the witness peel restricts its oracle with
+// ---------------------------------------------------------------------------
+
+TEST(ComponentPass, EdgeCases) {
+  // Components {0,1,2} (a path), {3,4}, {5,6,7} (a triangle) and the
+  // isolated 8.
+  graph::GraphBuilder b(9);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(3, 4);
+  b.add_edge(5, 6);
+  b.add_edge(6, 7);
+  b.add_edge(5, 7);
+  const Graph g = b.build();
+  graph::ComponentPass pass(g);
+  using Ids = std::vector<graph::VertexId>;
+  // Empty keep: nothing survives, whatever k.
+  for (std::size_t k : {1u, 3u}) {
+    pass.run({}, k);
+    EXPECT_TRUE(pass.vertices().empty());
+    EXPECT_TRUE(pass.keep_index().empty());
+  }
+  // k = 1: every kept vertex, isolated or not, at its own index.
+  pass.run({2, 4, 8}, 1);
+  EXPECT_EQ(pass.vertices(), (Ids{2, 4, 8}));
+  EXPECT_EQ(pass.keep_index(), (Ids{0, 1, 2}));
+  // A component of exactly k survives; the smaller ones around it do not.
+  pass.run({0, 1, 2, 3, 4, 8}, 3);
+  EXPECT_EQ(pass.vertices(), (Ids{0, 1, 2}));
+  EXPECT_EQ(pass.keep_index(), (Ids{0, 1, 2}));
+  pass.run({3, 4, 5, 6, 7}, 3);
+  EXPECT_EQ(pass.vertices(), (Ids{5, 6, 7}));
+  EXPECT_EQ(pass.keep_index(), (Ids{2, 3, 4}));
+  // Every component k - 1: the empty set.
+  pass.run({0, 1, 3, 4, 5, 7}, 3);
+  EXPECT_TRUE(pass.vertices().empty());
+  EXPECT_TRUE(pass.keep_index().empty());
+  // No small component: all of keep, at the identity indices.
+  pass.run({0, 1, 2, 5, 6, 7}, 3);
+  EXPECT_EQ(pass.vertices(), (Ids{0, 1, 2, 5, 6, 7}));
+  EXPECT_EQ(pass.keep_index(), (Ids{0, 1, 2, 3, 4, 5}));
+  // The pass only follows kept vertices, and reuses its scratch cleanly.
+  pass.run({0, 2, 5, 6, 7}, 2);
+  EXPECT_EQ(pass.vertices(), (Ids{5, 6, 7}));
+  EXPECT_EQ(pass.keep_index(), (Ids{2, 3, 4}));
+  // keep must be ascending and in range.
+  EXPECT_THROW(pass.run({2, 1, 0}, 2), std::invalid_argument);
+  EXPECT_THROW(pass.run({0, 9}, 2), std::invalid_argument);
+  EXPECT_THROW(pass.run({0, 1}, 0), std::invalid_argument);
 }
 
 }  // namespace

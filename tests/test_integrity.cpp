@@ -12,6 +12,7 @@
 #include <functional>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -990,6 +991,218 @@ TEST(WitnessPeelGate, ConnectedSubgraphMatchesUngatedReference) {
   EXPECT_GT(found, 0);
   EXPECT_GT(tally.skippable, 0);
   EXPECT_EQ(tally.skippable_yes, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Restricted oracle: each peel call runs only on the residual's components
+// of >= k vertices, hashed by residual index, and must give every round
+// total of the oracle on the whole residual
+// ---------------------------------------------------------------------------
+
+/// Residuals to compare the two oracles on: the whole graph, then random
+/// subsets at densities from sparse (mostly components below k) to dense.
+std::vector<std::vector<VertexId>> gate_residuals(const graph::Graph& g,
+                                                  std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<VertexId>> out(1);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) out[0].push_back(v);
+  for (std::uint64_t eighths : {1, 2, 4, 6, 7}) {
+    std::vector<VertexId> keep;
+    for (VertexId v = 0; v < g.num_vertices(); ++v)
+      if (rng.below(8) < eighths) keep.push_back(v);
+    out.push_back(std::move(keep));
+  }
+  return out;
+}
+
+/// One comparison of the restricted oracle against the full one: residual
+/// `full` of fixture `g`, and the pass's `restricted` subgraph with its
+/// `ids` (null and empty when the pass leaves nothing), under one size,
+/// gate case, kernel and seed.
+struct RestrictCase {
+  const graph::Graph& g;
+  const graph::InducedSubgraph& full;
+  const graph::InducedSubgraph* restricted;
+  std::span<const VertexId> ids;
+  int size;
+  GateCase gate;
+  core::Kernel kernel;
+  std::uint64_t seed;
+
+  [[nodiscard]] core::DetectOptions options() const {
+    core::DetectOptions d;
+    d.k = size;
+    d.epsilon = gate.eps;
+    d.seed = seed;
+    d.kernel = kernel;
+    return d;
+  }
+  [[nodiscard]] std::string where() const {
+    return "n=" + std::to_string(full.graph.num_vertices()) +
+           " k=" + std::to_string(size) + " eps=" + std::to_string(gate.eps) +
+           " l=" + std::to_string(gate.field_bits) +
+           " kernel=" + std::to_string(static_cast<int>(kernel));
+  }
+};
+
+/// `values` (one per vertex of the fixture) on the vertices of `sub`.
+std::vector<std::uint32_t> values_on(const graph::InducedSubgraph& sub,
+                                     const std::vector<std::uint32_t>& values) {
+  std::vector<std::uint32_t> out;
+  for (VertexId v : sub.to_original) out.push_back(values[v]);
+  return out;
+}
+
+/// Call `compare(RestrictCase)` for every fixture, size 3..5, gate case,
+/// kernel and residual. Every kind of residual must occur: ones the pass
+/// empties (every component below k), ones it leaves whole (no component
+/// below k; the same graph) and ones it trims.
+template <typename Compare>
+void for_each_restriction(Compare compare) {
+  int emptied = 0, whole = 0, trimmed = 0;
+  std::uint64_t seed = 500;
+  for (const auto& g : gate_fixtures()) {
+    graph::ComponentPass pass(g);
+    for (int size = 3; size <= 5; ++size)
+      for (const GateCase gate : kGateCases)
+        for (const auto kernel :
+             {core::Kernel::kScalar, core::Kernel::kBitsliced})
+          for (const auto& keep : gate_residuals(g, ++seed)) {
+            pass.run(keep, static_cast<std::size_t>(size));
+            const auto full = graph::induced_subgraph(g, keep);
+            if (pass.vertices().empty()) {
+              ++emptied;
+              compare(RestrictCase{g, full, nullptr, {}, size, gate, kernel,
+                                   seed});
+              continue;
+            }
+            const auto restricted = graph::induced_subgraph(g, pass.vertices());
+            if (pass.vertices() == keep) {
+              ++whole;
+              EXPECT_EQ(restricted.graph.edge_list(), full.graph.edge_list());
+            } else {
+              ++trimmed;
+            }
+            compare(RestrictCase{g, full, &restricted, pass.keep_index(),
+                                 size, gate, kernel, seed});
+          }
+  }
+  EXPECT_GT(emptied, 0);
+  EXPECT_GT(whole, 0);
+  EXPECT_GT(trimmed, 0);
+}
+
+/// Run `detect(graph, values, ids)` on the full residual and, when the pass
+/// left anything, on the restricted one: the restricted result must equal
+/// the full one round by round, and an emptied residual must be a "no" with
+/// every round total zero. Returns whether the full oracle said "yes".
+template <typename Detect>
+bool expect_same_rounds(const RestrictCase& c,
+                        const std::vector<std::uint32_t>& values,
+                        Detect detect) {
+  const core::DetectResult want =
+      detect(c.full.graph, values_on(c.full, values), {});
+  if (c.restricted == nullptr) {
+    EXPECT_FALSE(want.found) << c.where();
+    for (auto t : want.round_totals) EXPECT_EQ(t, 0u) << c.where();
+    return want.found;
+  }
+  const core::DetectResult got =
+      detect(c.restricted->graph, values_on(*c.restricted, values), c.ids);
+  EXPECT_EQ(got.round_totals, want.round_totals) << c.where();
+  EXPECT_EQ(got.found, want.found) << c.where();
+  EXPECT_EQ(got.found_round, want.found_round) << c.where();
+  return want.found;
+}
+
+TEST(RestrictedOracle, KpathMatchesTheFullResidual) {
+  int yes = 0;
+  for_each_restriction([&](const RestrictCase& c) {
+    const std::vector<std::uint32_t> none(c.g.num_vertices(), 0);
+    with_gate_field(c.gate.field_bits, [&](const auto& f) {
+      yes += expect_same_rounds(
+          c, none,
+          [&](const graph::Graph& h, const std::vector<std::uint32_t>&,
+              std::span<const VertexId> ids) {
+            return core::detect_kpath_seq(h, c.options(), f, ids);
+          });
+    });
+  });
+  EXPECT_GT(yes, 0);
+}
+
+TEST(RestrictedOracle, KtreeMatchesTheFullResidual) {
+  int yes = 0;
+  for_each_restriction([&](const RestrictCase& c) {
+    const std::vector<std::uint32_t> none(c.g.num_vertices(), 0);
+    const core::TreeDecomposition td(gate_template(c.size), 0);
+    with_gate_field(c.gate.field_bits, [&](const auto& f) {
+      yes += expect_same_rounds(
+          c, none,
+          [&](const graph::Graph& h, const std::vector<std::uint32_t>&,
+              std::span<const VertexId> ids) {
+            return core::detect_ktree_seq(h, td, c.options(), f, ids);
+          });
+    });
+  });
+  EXPECT_GT(yes, 0);
+}
+
+TEST(RestrictedOracle, MotifMatchesTheFullResidual) {
+  int yes = 0;
+  for_each_restriction([&](const RestrictCase& c) {
+    const auto colors = fixtures::draw_colors(
+        c.g.num_vertices(), 3, static_cast<std::uint64_t>(c.size));
+    std::vector<std::uint32_t> motif;
+    for (int i = 0; i < c.size; ++i)
+      motif.push_back(static_cast<std::uint32_t>(i % 3));
+    with_gate_field(c.gate.field_bits, [&](const auto& f) {
+      yes += expect_same_rounds(
+          c, colors,
+          [&](const graph::Graph& h, const std::vector<std::uint32_t>& col,
+              std::span<const VertexId> ids) {
+            return core::detect_motif_seq(h, col, motif, c.options(), f, ids);
+          });
+    });
+  });
+  EXPECT_GT(yes, 0);
+}
+
+TEST(RestrictedOracle, ConnectedSubgraphMatchesTheFullResidual) {
+  int yes = 0;
+  for_each_restriction([&](const RestrictCase& c) {
+    const int j = c.size;
+    const auto w = fixtures::draw_weights(c.g.num_vertices(),
+                                          static_cast<std::uint64_t>(j));
+    // Watch a cell mid-axis (weights are 0..3, so 1.5 per vertex).
+    const auto z = static_cast<std::uint32_t>(3 * j / 2);
+    core::ScanOptions s;
+    s.k = j;
+    s.epsilon = c.gate.eps;
+    s.seed = c.seed;
+    s.kernel = c.kernel;
+    s.watch_j = j;
+    s.watch_z = z;
+    with_gate_field(c.gate.field_bits, [&](const auto& f) {
+      const auto want =
+          core::detect_scan_seq(c.full.graph, values_on(c.full, w), s, f);
+      yes += want.at(j, z) ? 1 : 0;
+      // Only size-j sets reach row j, and each lies in a component of >= j
+      // vertices: the whole row agrees, the watched cell included, and a
+      // cell above the restricted weight bound is unset on both sides.
+      if (c.restricted == nullptr) {
+        for (std::uint32_t cell = 0; cell <= want.max_weight; ++cell)
+          EXPECT_FALSE(want.at(j, cell)) << c.where() << " z=" << cell;
+        return;
+      }
+      const auto got = core::detect_scan_seq(
+          c.restricted->graph, values_on(*c.restricted, w), s, f, c.ids);
+      for (std::uint32_t cell = 0; cell <= want.max_weight; ++cell)
+        EXPECT_EQ(got.at(j, cell), want.at(j, cell))
+            << c.where() << " z=" << cell;
+    });
+  });
+  EXPECT_GT(yes, 0);
 }
 
 }  // namespace
