@@ -1,7 +1,9 @@
 // Directed k-path detection.
 //
 // Identical algebra to the undirected detector; the DP extends walks along
-// in-edges (a directed walk ending at i came from an in-neighbor). Every
+// in-edges (a directed walk ending at i came from an in-neighbor), so the
+// k-path phase bodies run unchanged on a one-part in-neighbour view
+// (partition::build_dipart_views), as the distributed engine does. Every
 // directed simple path is a single witness — there is no direction pairing
 // — but the per-(vertex, level) coefficients are still required to stop
 // distinct paths over the same vertex set from cancelling each other.
@@ -9,6 +11,7 @@
 
 #include "core/detect_seq.hpp"
 #include "graph/digraph.hpp"
+#include "partition/partitioned_graph.hpp"
 
 namespace midas::core {
 
@@ -18,65 +21,11 @@ template <gf::GaloisField F>
 DetectResult detect_kpath_directed_seq(const graph::DiGraph& g,
                                        const DetectOptions& opt,
                                        const F& f = F{}) {
-  const int k = opt.k;
-  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
-  const graph::VertexId n = g.num_vertices();
-  DetectResult res;
-  if (n == 0) return res;
-  if (k == 1) {
-    res.found = true;
-    res.found_round = 0;
-    return res;
-  }
-
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  std::vector<std::uint32_t> v(n);
-  std::vector<V> cur(n), next(n);
-  std::vector<V> r(static_cast<std::size_t>(k) * n);
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    for (graph::VertexId i = 0; i < n; ++i) {
-      v[i] = v_vector(opt.seed, round, i, k);
-      for (int j = 1; j <= k; ++j)
-        r[static_cast<std::size_t>(j - 1) * n + i] =
-            field_coeff(f, opt.seed, round, i,
-                        static_cast<std::uint32_t>(j));
-    }
-    V total = f.zero();
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      for (graph::VertexId i = 0; i < n; ++i) {
-        const bool live =
-            !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-        cur[i] = live ? r[i] : f.zero();
-      }
-      for (int j = 2; j <= k; ++j) {
-        const V* rj = r.data() + static_cast<std::size_t>(j - 1) * n;
-        for (graph::VertexId i = 0; i < n; ++i) {
-          if (inner_product_odd(v[i], static_cast<std::uint32_t>(t))) {
-            next[i] = f.zero();
-            continue;
-          }
-          V acc = f.zero();
-          for (graph::VertexId u : g.in_neighbors(i))
-            acc = f.add(acc, cur[u]);
-          next[i] = f.mul(rj[i], acc);
-        }
-        std::swap(cur, next);
-      }
-      V sum = f.zero();
-      for (graph::VertexId i = 0; i < n; ++i) sum = f.add(sum, cur[i]);
-      total = f.add(total, sum);
-      ++res.iterations;
-    }
-    ++res.rounds_run;
-    if (total != f.zero()) {
-      res.found = true;
-      res.found_round = round;
-      if (opt.early_exit) return res;
-    }
-  }
-  return res;
+  MIDAS_REQUIRE(opt.k >= 1 && opt.k <= 28, "k must be in [1,28]");
+  const partition::Partition one_part{
+      1, std::vector<int>(g.num_vertices(), 0)};
+  return detect_kpath_seq(partition::build_dipart_views(g, one_part)[0], opt,
+                          f);
 }
 
 }  // namespace midas::core

@@ -1,7 +1,7 @@
 // Sequential multilinear detection (paper Section III, Algorithm 1, and the
 // per-application polynomials of Sections III-D and V).
 //
-// All three detectors share the same skeleton: per round, draw hash-derived
+// Every detector evaluates one recurrence: per round, draw hash-derived
 // randomness (v_i in Z2^k per vertex; field coefficients per template
 // position); for each iteration t in [0, 2^k) evaluate the application's
 // polynomial with x_i replaced by its iteration value and XOR the result
@@ -19,27 +19,33 @@
 // direction/automorphism pairing of witnesses that would otherwise cancel
 // in characteristic 2.
 //
-// Each detector exists in two kernels selected by DetectOptions::kernel:
-// the scalar reference path (one field element at a time) and a bit-sliced
-// path that evaluates 64 consecutive iterations per step over
-// gf::BitslicedGF (see src/gf/bitsliced.hpp and docs/ALGORITHM.md section
-// 6). Both kernels produce bit-identical per-round accumulators — the
-// bit-sliced path only regroups the same XORs — which the tests assert.
+// MIDAS with one phase group of one part is the sequential algorithm, so
+// the detectors here own no kernels: each runs the phase bodies of
+// core/phase_bodies.hpp — one scalar and one bit-sliced body per
+// recurrence, the very ones the distributed engine runs — on a one-part
+// seat (detail::run_sequential) over a partition::induced_view with no
+// ghosts, in phases of one 64-lane block. DetectOptions::kernel picks the
+// body (detail::use_bitsliced, shared with the engine); both produce
+// bit-identical per-round accumulators — the bit-sliced body only regroups
+// the same XORs (docs/ALGORITHM.md section 6) — which the tests assert.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "core/hashrand.hpp"
-#include "core/layered_fold.hpp"
+#include "core/errors.hpp"
+#include "core/phase_bodies.hpp"
 #include "core/schedule.hpp"
 #include "core/tree_template.hpp"
 #include "gf/bitsliced.hpp"
 #include "gf/field.hpp"
 #include "graph/csr.hpp"
+#include "partition/partitioned_graph.hpp"
 #include "runtime/trace.hpp"
 #include "util/require.hpp"
 
@@ -74,182 +80,113 @@ struct DetectResult {
   std::vector<std::uint64_t> round_totals;
 };
 
-namespace detail_seq {
+namespace detail {
 
-/// The id a detector hashes vertex i by: ids[i], or i itself when `ids` is
-/// empty (see detect_kpath_seq).
-struct HashIds {
-  std::span<const graph::VertexId> ids;
-
-  HashIds(const graph::Graph& g, std::span<const graph::VertexId> hash_ids)
-      : ids(hash_ids) {
-    MIDAS_REQUIRE(ids.empty() || ids.size() == g.num_vertices(),
-                  "hash ids: none, or one per vertex");
-  }
-  [[nodiscard]] std::uint32_t operator()(graph::VertexId i) const {
-    return ids.empty() ? i : ids[i];
-  }
-};
-
-/// Decide scalar vs bitsliced for this (field, request) pair; rejects an
-/// explicit bitsliced request on a field the engine cannot mirror.
+/// The kernel choice of every detector and engine: scalar vs bit-sliced
+/// for this (field, request) pair and a recurrence that has a bit-sliced
+/// body or not. kAuto takes the bit-sliced body wherever the field and the
+/// recurrence have one; an explicit bit-sliced request that cannot be met
+/// is an options error.
 template <typename F>
-[[nodiscard]] inline bool use_bitsliced(const F& f, Kernel kernel) {
+[[nodiscard]] inline bool use_bitsliced(const F& f, Kernel kernel,
+                                        bool has_bitsliced_body = true) {
+  require_options(has_bitsliced_body || kernel != Kernel::kBitsliced,
+                  "kernel=bitsliced: this recurrence has no bit-sliced body");
   if constexpr (gf::Bitsliceable<F>) {
-    if (kernel == Kernel::kScalar) return false;
-    return f.bits() <= 16;
+    return has_bitsliced_body && kernel != Kernel::kScalar && f.bits() <= 16;
   } else {
     (void)f;
-    MIDAS_REQUIRE(kernel != Kernel::kBitsliced,
-                  "kernel=bitsliced requires a GF(2^l) field with l <= 16 "
-                  "that exposes modulus() (GF256 or GFSmall)");
+    require_options(kernel != Kernel::kBitsliced,
+                    "kernel=bitsliced requires a GF(2^l) field with l <= 16 "
+                    "that exposes modulus() (GF256 or GFSmall)");
     return false;
   }
 }
 
-// ---------------------------------------------------------------------------
-// k-path kernels
-// ---------------------------------------------------------------------------
+/// Iterations per phase of a sequential run: one 64-lane block.
+inline constexpr std::uint64_t kSeqBatch = 64;
 
-template <gf::GaloisField F>
-DetectResult kpath_scalar(const graph::Graph& g, const DetectOptions& opt,
-                          const F& f, HashIds id) {
-  const int k = opt.k;
-  const graph::VertexId n = g.num_vertices();
-  DetectResult res;
-
+/// The sequential round driver: `rank_body(pr, rounds)` (a phase body of
+/// core/phase_bodies.hpp) on a one-part seat with no Comm — no thread, no
+/// charge, no exchange — over `view`. Each round calls begin_round, then
+/// the phase body over [0, 2^k) in phases of min(2^k, max_batch)
+/// iterations, XORed into an accumulator of `acc_len` slots; then
+/// `stop(round, acc)` reads the round's accumulator and says whether to
+/// stop. The record follows the first round with a nonzero slot;
+/// round_totals holds every round's acc[0].
+template <gf::GaloisField F, typename Stop, typename RankBody>
+DetectResult run_sequential(const partition::PartView& view, const F& f,
+                            int k, int rounds, bool bitsliced,
+                            std::size_t acc_len, Stop&& stop,
+                            RankBody&& rank_body,
+                            std::uint64_t max_batch = kSeqBatch) {
   using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  std::vector<std::uint32_t> v(n);
-  std::vector<std::uint8_t> live(n);
-  std::vector<V> cur(n), next(n);
-  // r[j * n + i] is the coefficient of vertex i at path level j (1-based).
-  std::vector<V> r(static_cast<std::size_t>(k) * n);
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i) {
-      v[i] = v_vector(opt.seed, round, id(i), k);
-      for (int j = 1; j <= k; ++j)
-        r[static_cast<std::size_t>(j - 1) * n + i] =
-            field_coeff(f, opt.seed, round, id(i),
-                        static_cast<std::uint32_t>(j));
-    }
-    V total = f.zero();
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      // The liveness flag [<v_i, t> = 0] is per (vertex, iteration); compute
-      // it once here and reuse it across all k levels.
-      for (graph::VertexId i = 0; i < n; ++i) {
-        live[i] = !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-        cur[i] = live[i] ? r[i] : f.zero();
-      }
-      for (int j = 2; j <= k; ++j) {
-        const V* rj = r.data() + static_cast<std::size_t>(j - 1) * n;
-        for (graph::VertexId i = 0; i < n; ++i) {
-          if (!live[i]) {
-            next[i] = f.zero();  // x_i evaluates to 0 this iteration
-            continue;
-          }
-          V acc = f.zero();
-          for (graph::VertexId u : g.neighbors(i)) acc = f.add(acc, cur[u]);
-          next[i] = f.mul(rj[i], acc);
-        }
-        std::swap(cur, next);
-      }
-      V sum = f.zero();
-      for (graph::VertexId i = 0; i < n; ++i) sum = f.add(sum, cur[i]);
-      total = f.add(total, sum);
-      ++res.iterations;
-    }
-    ++res.rounds_run;
-    res.round_totals.push_back(static_cast<std::uint64_t>(total));
-    if (total != f.zero()) {
-      if (!res.found) res.found_round = round;  // first nonzero round wins
-      res.found = true;
-      if (opt.early_exit) return res;
-    }
+  std::optional<gf::BitslicedGF> bse;
+  if constexpr (gf::Bitsliceable<F>) {
+    if (bitsliced) bse.emplace(f);
   }
-  return res;
-}
-
-template <gf::Bitsliceable F>
-DetectResult kpath_bitsliced(const graph::Graph& g, const DetectOptions& opt,
-                             const F& f, HashIds id) {
-  const int k = opt.k;
-  const graph::VertexId n = g.num_vertices();
-  DetectResult res;
-
-  using V = typename F::value_type;
-  using BS = gf::BitslicedGF;
-  const BS bs(f);
+  const PhaseRank pr{.view = view, .bs = bse ? &*bse : nullptr};
   const std::uint64_t iters = std::uint64_t{1} << k;
-
-  std::vector<std::uint32_t> v(n);
-  std::vector<V> r0(n);  // level-1 coefficients (broadcast into the base case)
-  // mats[(j - 2) * n + i]: multiply-by-r_{i,j} matrix for levels 2..k.
-  std::vector<BS::Matrix> mats(static_cast<std::size_t>(k - 1) * n);
-
-  // Lift (plane word, plane count) to compile-time constants so the
-  // per-block loops below unroll and vectorize (see dispatch_block); the
-  // word follows the 2^k iterations of a round.
-  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
-    using W = typename decltype(wt)::type;
-    constexpr int LC = decltype(lc)::value;
-    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
-    std::vector<W> live(n);
-    // cur/next hold one block (LC words) per vertex.
-    std::vector<W> cur(static_cast<std::size_t>(n) * LC);
-    std::vector<W> next(static_cast<std::size_t>(n) * LC);
-
-    for (int round = 0; round < opt.rounds(); ++round) {
+  const std::uint64_t batch = std::min(iters, max_batch);
+  std::vector<V> acc(acc_len);
+  DetectResult res;
+  rank_body(pr, [&](auto&& begin_round, auto&& phase_scalar,
+                    auto&& phase_bs) {
+    for (int round = 0; round < rounds; ++round) {
       MIDAS_TRACE_SPAN("seq.round", {"round", round});
-      for (graph::VertexId i = 0; i < n; ++i) {
-        v[i] = v_vector(opt.seed, round, id(i), k);
-        r0[i] = field_coeff(f, opt.seed, round, id(i), 1);
-        for (int j = 2; j <= k; ++j)
-          mats[static_cast<std::size_t>(j - 2) * n + i] =
-              bs.matrix(field_coeff(f, opt.seed, round, id(i),
-                                    static_cast<std::uint32_t>(j)));
-      }
-      V total = f.zero();
-      for (std::uint64_t base = 0; base < iters; base += kLanes) {
-        const int lanes =
-            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base));
-        for (graph::VertexId i = 0; i < n; ++i) {
-          live[i] = BS::live_mask<W>(v[i], base, lanes);
-          BS::broadcast_w<LC>(&cur[static_cast<std::size_t>(i) * LC], r0[i],
-                              live[i]);
-        }
-        for (int j = 2; j <= k; ++j) {
-          const BS::Matrix* mj =
-              mats.data() + static_cast<std::size_t>(j - 2) * n;
-          for (graph::VertexId i = 0; i < n; ++i) {
-            W* out = &next[static_cast<std::size_t>(i) * LC];
-            if (live[i] == 0) {
-              BS::clear_w<LC>(out);
-              continue;
-            }
-            W acc[LC] = {};
-            for (graph::VertexId u : g.neighbors(i))
-              BS::add_into_w<LC>(acc, &cur[static_cast<std::size_t>(u) * LC]);
-            BS::mul_matrix_masked_w<LC>(out, mj[i], acc, live[i]);
-          }
-          std::swap(cur, next);
-        }
-        total = f.add(total,
-                      static_cast<V>(gf::fold_xor_rows<LC>(cur.data(), n, LC)));
-        res.iterations += static_cast<std::uint64_t>(lanes);
-      }
+      begin_round(round);
+      std::fill(acc.begin(), acc.end(), f.zero());
+      for (std::uint64_t q0 = 0; q0 < iters; q0 += batch)
+        run_phase(f, pr.bs, phase_scalar, phase_bs, q0, batch,
+                  std::span<V>(acc));
+      res.iterations += iters;
       ++res.rounds_run;
-      res.round_totals.push_back(static_cast<std::uint64_t>(total));
-      if (total != f.zero()) {
-        if (!res.found) res.found_round = round;  // first nonzero round wins
+      res.round_totals.push_back(static_cast<std::uint64_t>(acc[0]));
+      if (!res.found && std::any_of(acc.begin(), acc.end(), [&](const V& x) {
+            return x != f.zero();
+          })) {
         res.found = true;
-        if (opt.early_exit) return;
+        res.found_round = round;
       }
+      if (stop(round, std::span<const V>(acc))) break;
     }
   });
   return res;
+}
+
+/// The stop rule of the decision detectors: a nonzero round ends the run
+/// under early exit.
+[[nodiscard]] inline auto stop_on_found(bool early_exit) {
+  return [early_exit](int, auto acc) { return early_exit && acc[0] != 0; };
+}
+
+}  // namespace detail
+
+namespace detail_seq {
+
+/// The one-part view of all of g (partition::induced_view): vertex i
+/// hashes as hash_ids[i], or as i when `hash_ids` is empty.
+[[nodiscard]] inline partition::PartView whole_view(
+    const graph::Graph& g, std::span<const graph::VertexId> hash_ids) {
+  std::vector<graph::VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), graph::VertexId{0});
+  return partition::induced_view(g, all, hash_ids);
+}
+
+/// Per-vertex values re-indexed by hash id (out[hash_ids[i]] = values[i]),
+/// since a body reads vertex li's value at view.vertices[li].
+[[nodiscard]] inline std::vector<std::uint32_t> by_hash_id(
+    const std::vector<std::uint32_t>& values,
+    std::span<const graph::VertexId> hash_ids) {
+  if (hash_ids.empty()) return values;
+  std::vector<std::uint32_t> out(
+      static_cast<std::size_t>(
+          *std::max_element(hash_ids.begin(), hash_ids.end())) +
+          1,
+      0);
+  for (std::size_t i = 0; i < hash_ids.size(); ++i)
+    out[hash_ids[i]] = values[i];
+  return out;
 }
 
 }  // namespace detail_seq
@@ -258,7 +195,33 @@ DetectResult kpath_bitsliced(const graph::Graph& g, const DetectOptions& opt,
 /// what the CLI and bench headers print to make outputs self-describing.
 template <gf::GaloisField F>
 [[nodiscard]] inline const char* kernel_name(const F& f, Kernel kernel) {
-  return detail_seq::use_bitsliced(f, kernel) ? "bitsliced" : "scalar";
+  return detail::use_bitsliced(f, kernel) ? "bitsliced" : "scalar";
+}
+
+/// Decide whether the one-part `view` (partition::induced_view) contains a
+/// simple path on exactly k vertices; local vertex li hashes as
+/// view.vertices[li]. The same holds for every view overload below.
+template <gf::GaloisField F>
+DetectResult detect_kpath_seq(const partition::PartView& view,
+                              const DetectOptions& opt, const F& f = F{}) {
+  const int k = opt.k;
+  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
+  DetectResult res;
+  if (view.num_local() == 0) return res;
+  if (k == 1) {  // any vertex is a 1-path
+    res.found = true;
+    res.found_round = 0;
+    return res;
+  }
+  const bool bitsliced = detail::use_bitsliced(f, opt.kernel);
+  MIDAS_TRACE_SPAN(bitsliced ? "seq.kpath.bitsliced" : "seq.kpath.scalar",
+                   {"k", k});
+  return detail::run_sequential(
+      view, f, k, opt.rounds(), bitsliced, 1,
+      detail::stop_on_found(opt.early_exit),
+      [&](const detail::PhaseRank& pr, auto&& rounds) {
+        detail::kpath_rank(pr, rounds, f, k, opt.seed);
+      });
 }
 
 /// Decide whether `g` contains a simple path on exactly k vertices.
@@ -267,194 +230,34 @@ template <gf::GaloisField F>
 /// by: vertex i hashes as hash_ids[i] (one distinct id per vertex), as a
 /// distributed rank hashes its local vertices by PartView::vertices.
 /// Detecting on an induced subgraph with its vertices' ids in the parent
-/// graph thus draws the very hashes the parent would (the witness peel's
-/// restricted oracle, core/witness.cpp). Empty means vertex i hashes as i.
-/// The same holds for every sequential detector below.
+/// graph thus draws the very hashes the parent would. Empty means vertex i
+/// hashes as i. The same holds for every sequential detector below.
 template <gf::GaloisField F>
 DetectResult detect_kpath_seq(const graph::Graph& g, const DetectOptions& opt,
                               const F& f = F{},
                               std::span<const graph::VertexId> hash_ids = {}) {
-  const int k = opt.k;
-  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
-  const graph::VertexId n = g.num_vertices();
-  const detail_seq::HashIds id(g, hash_ids);
-  DetectResult res;
-  if (n == 0) return res;
-  if (k == 1) {  // any vertex is a 1-path
-    res.found = n > 0;
-    res.found_round = 0;
-    return res;
-  }
-  const bool bitsliced = detail_seq::use_bitsliced(f, opt.kernel);
-  MIDAS_TRACE_SPAN(bitsliced ? "seq.kpath.bitsliced" : "seq.kpath.scalar",
-                   {"k", k});
-  if (bitsliced) {
-    if constexpr (gf::Bitsliceable<F>)
-      return detail_seq::kpath_bitsliced(g, opt, f, id);
-  }
-  return detail_seq::kpath_scalar(g, opt, f, id);
+  return detect_kpath_seq(detail_seq::whole_view(g, hash_ids), opt, f);
 }
 
-// ---------------------------------------------------------------------------
-// k-tree kernels
-// ---------------------------------------------------------------------------
-
-namespace detail_seq {
-
+/// Decide whether the one-part `view` contains a (non-induced) embedding
+/// of the template tree described by `td`.
 template <gf::GaloisField F>
-DetectResult ktree_scalar(const graph::Graph& g, const TreeDecomposition& td,
-                          const DetectOptions& opt, const F& f, HashIds id) {
+DetectResult detect_ktree_seq(const partition::PartView& view,
+                              const TreeDecomposition& td,
+                              const DetectOptions& opt, const F& f = F{}) {
   const int k = td.k();
-  const graph::VertexId n = g.num_vertices();
-  DetectResult res;
-
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  const auto& subs = td.subtemplates();
-  std::vector<std::uint32_t> v(n);
-  // vals[s][i]: polynomial value of subtemplate s at vertex i.
-  std::vector<std::vector<V>> vals(subs.size(), std::vector<V>(n));
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, id(i), k);
-    V total = f.zero();
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      for (std::size_t s = 0; s < subs.size(); ++s) {
-        const auto& sub = subs[s];
-        auto& out = vals[s];
-        if (sub.child1 < 0) {
-          // Leaf: x_i scaled by a coefficient unique to this template
-          // position (leaf ids are unique within the decomposition).
-          for (graph::VertexId i = 0; i < n; ++i) {
-            const bool live =
-                !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-            out[i] = live ? field_coeff(f, opt.seed, round, id(i),
-                                        static_cast<std::uint32_t>(s))
-                          : f.zero();
-          }
-        } else {
-          const auto& own = vals[static_cast<std::size_t>(sub.child1)];
-          const auto& nbr = vals[static_cast<std::size_t>(sub.child2)];
-          for (graph::VertexId i = 0; i < n; ++i) {
-            if (own[i] == f.zero()) {
-              out[i] = f.zero();
-              continue;
-            }
-            V acc = f.zero();
-            for (graph::VertexId u : g.neighbors(i)) acc = f.add(acc, nbr[u]);
-            out[i] = f.mul(own[i], acc);
-          }
-        }
-      }
-      V sum = f.zero();
-      const auto& root_vals = vals[static_cast<std::size_t>(td.root_id())];
-      for (graph::VertexId i = 0; i < n; ++i) sum = f.add(sum, root_vals[i]);
-      total = f.add(total, sum);
-      ++res.iterations;
-    }
-    ++res.rounds_run;
-    res.round_totals.push_back(static_cast<std::uint64_t>(total));
-    if (total != f.zero()) {
-      if (!res.found) res.found_round = round;  // first nonzero round wins
-      res.found = true;
-      if (opt.early_exit) return res;
-    }
-  }
-  return res;
+  MIDAS_REQUIRE(k >= 1 && k <= 28, "template size must be in [1,28]");
+  if (view.num_local() == 0) return {};
+  const bool bitsliced = detail::use_bitsliced(f, opt.kernel);
+  MIDAS_TRACE_SPAN(bitsliced ? "seq.ktree.bitsliced" : "seq.ktree.scalar",
+                   {"k", k});
+  return detail::run_sequential(
+      view, f, k, opt.rounds(), bitsliced, 1,
+      detail::stop_on_found(opt.early_exit),
+      [&](const detail::PhaseRank& pr, auto&& rounds) {
+        detail::ktree_rank(pr, rounds, f, td, opt.seed);
+      });
 }
-
-template <gf::Bitsliceable F>
-DetectResult ktree_bitsliced(const graph::Graph& g,
-                             const TreeDecomposition& td,
-                             const DetectOptions& opt, const F& f,
-                             HashIds id) {
-  const int k = td.k();
-  const graph::VertexId n = g.num_vertices();
-  DetectResult res;
-
-  using V = typename F::value_type;
-  using BS = gf::BitslicedGF;
-  const BS bs(f);
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  const auto& subs = td.subtemplates();
-
-  std::vector<std::uint32_t> v(n);
-  // leafc[s][i]: leaf coefficient (a pure function of round/i/s, hoisted
-  // out of the iteration loop; the scalar kernel recomputes it per t).
-  std::vector<std::vector<V>> leafc(subs.size());
-
-  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
-    using W = typename decltype(wt)::type;
-    constexpr int LC = decltype(lc)::value;
-    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
-    std::vector<W> live(n);
-    // vals[s]: one block per vertex for subtemplate s.
-    std::vector<std::vector<W>> vals(
-        subs.size(), std::vector<W>(static_cast<std::size_t>(n) * LC));
-
-    for (int round = 0; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("seq.round", {"round", round});
-      for (graph::VertexId i = 0; i < n; ++i)
-        v[i] = v_vector(opt.seed, round, id(i), k);
-      for (std::size_t s = 0; s < subs.size(); ++s) {
-        if (subs[s].child1 >= 0) continue;
-        leafc[s].resize(n);
-        for (graph::VertexId i = 0; i < n; ++i)
-          leafc[s][i] = field_coeff(f, opt.seed, round, id(i),
-                                    static_cast<std::uint32_t>(s));
-      }
-      V total = f.zero();
-      for (std::uint64_t base = 0; base < iters; base += kLanes) {
-        const int lanes =
-            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base));
-        for (graph::VertexId i = 0; i < n; ++i)
-          live[i] = BS::live_mask<W>(v[i], base, lanes);
-        for (std::size_t s = 0; s < subs.size(); ++s) {
-          const auto& sub = subs[s];
-          auto& out = vals[s];
-          if (sub.child1 < 0) {
-            for (graph::VertexId i = 0; i < n; ++i)
-              BS::broadcast_w<LC>(&out[static_cast<std::size_t>(i) * LC],
-                                  leafc[s][i], live[i]);
-          } else {
-            const auto& own = vals[static_cast<std::size_t>(sub.child1)];
-            const auto& nbr = vals[static_cast<std::size_t>(sub.child2)];
-            for (graph::VertexId i = 0; i < n; ++i) {
-              W* out_i = &out[static_cast<std::size_t>(i) * LC];
-              const W* own_i = &own[static_cast<std::size_t>(i) * LC];
-              if (BS::is_zero_w<LC>(own_i)) {
-                BS::clear_w<LC>(out_i);
-                continue;
-              }
-              W acc[LC] = {};
-              for (graph::VertexId u : g.neighbors(i))
-                BS::add_into_w<LC>(acc,
-                                   &nbr[static_cast<std::size_t>(u) * LC]);
-              bs.mul_w<LC>(out_i, own_i, acc);
-            }
-          }
-        }
-        total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
-                                 vals[static_cast<std::size_t>(td.root_id())]
-                                     .data(),
-                                 n, LC)));
-        res.iterations += static_cast<std::uint64_t>(lanes);
-      }
-      ++res.rounds_run;
-      res.round_totals.push_back(static_cast<std::uint64_t>(total));
-      if (total != f.zero()) {
-        if (!res.found) res.found_round = round;  // first nonzero round wins
-        res.found = true;
-        if (opt.early_exit) return;
-      }
-    }
-  });
-  return res;
-}
-
-}  // namespace detail_seq
 
 /// Decide whether `g` contains a (non-induced) embedding of the template
 /// tree described by `td`. `hash_ids` as for detect_kpath_seq.
@@ -463,20 +266,7 @@ DetectResult detect_ktree_seq(const graph::Graph& g,
                               const TreeDecomposition& td,
                               const DetectOptions& opt, const F& f = F{},
                               std::span<const graph::VertexId> hash_ids = {}) {
-  const int k = td.k();
-  MIDAS_REQUIRE(k >= 1 && k <= 28, "template size must be in [1,28]");
-  const graph::VertexId n = g.num_vertices();
-  const detail_seq::HashIds id(g, hash_ids);
-  DetectResult res;
-  if (n == 0) return res;
-  const bool bitsliced = detail_seq::use_bitsliced(f, opt.kernel);
-  MIDAS_TRACE_SPAN(bitsliced ? "seq.ktree.bitsliced" : "seq.ktree.scalar",
-                   {"k", k});
-  if (bitsliced) {
-    if constexpr (gf::Bitsliceable<F>)
-      return detail_seq::ktree_bitsliced(g, td, opt, f, id);
-  }
-  return detail_seq::ktree_scalar(g, td, opt, f, id);
+  return detect_ktree_seq(detail_seq::whole_view(g, hash_ids), td, opt, f);
 }
 
 // ---------------------------------------------------------------------------
@@ -526,199 +316,48 @@ struct ScanOptions {
   }
 };
 
-namespace detail_seq {
-
+/// The (size, weight) feasibility table of the one-part `view`, where
+/// local vertex li contributes weight weights[view.vertices[li]]. The
+/// weight axis is bounded by the view's own k heaviest vertices.
 template <gf::GaloisField F>
-void scan_scalar(const graph::Graph& g,
-                 const std::vector<std::uint32_t>& weights,
-                 const ScanOptions& opt, const F& f, HashIds id,
-                 FeasibilityTable& table) {
+FeasibilityTable detect_scan_seq(const partition::PartView& view,
+                                 const std::vector<std::uint32_t>& weights,
+                                 const ScanOptions& opt, const F& f = F{}) {
   const int k = opt.k;
-  const graph::VertexId n = g.num_vertices();
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  const std::uint32_t width = table.max_weight + 1;
-  std::vector<std::uint32_t> v(n);
-  // vals[j][z * n + i]: value of P(i, j, z) at the current iteration.
-  std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
-  for (int j = 1; j <= k; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(width) * n, f.zero());
-  // accum[j][z]: XOR over iterations of sum_i P(i, j, z).
-  std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
-                                    std::vector<V>(width, f.zero()));
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    MIDAS_TRACE_SPAN("seq.round", {"round", round});
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, id(i), k);
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
-
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      // Base case: P(i, 1, w(i)) = r_i * [v_i ⟂ t].
-      auto& base = vals[1];
-      std::fill(base.begin(), base.end(), f.zero());
-      for (graph::VertexId i = 0; i < n; ++i) {
-        const bool live =
-            !inner_product_odd(v[i], static_cast<std::uint32_t>(t));
-        if (live)
-          base[static_cast<std::size_t>(weights[i]) * n + i] =
-              field_coeff(f, opt.seed, round, id(i), 1);
-      }
-      // Inductive step over sizes.
-      for (int j = 2; j <= k; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::fill(out.begin(), out.end(), f.zero());
-        for (graph::VertexId i = 0; i < n; ++i) {
-          for (graph::VertexId u : g.neighbors(i)) {
-            const V sig = sigma_coeff(f, opt.seed, round, id(i), id(u),
-                                      static_cast<std::uint32_t>(j));
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const auto& own = vals[static_cast<std::size_t>(j1)];
-              const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t z = 0; z < width; ++z) {
-                V acc = f.zero();
-                for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                  const V a = own[static_cast<std::size_t>(z1) * n + i];
-                  if (a == f.zero()) continue;
-                  const V b =
-                      oth[static_cast<std::size_t>(z - z1) * n + u];
-                  acc = f.add(acc, f.mul(a, b));
-                }
-                if (acc != f.zero()) {
-                  auto& cell = out[static_cast<std::size_t>(z) * n + i];
-                  cell = f.add(cell, f.mul(sig, acc));
-                }
-              }
-            }
-          }
-        }
-      }
-      // Accumulate sums over vertices for every (j, z). Size-j detection
-      // needs its monomials counted over a 2^j-element subgroup: summing a
-      // degree-j term over all 2^k iterations counts it 2^{k-rank} times
-      // with rank <= j < k — always even, i.e. it always cancels. So the
-      // size-j accumulator only folds iterations t < 2^j, for which the
-      // inner products <v_i, t> see exactly the low j bits of v_i; this is
-      // degree-j detection with j-dimensional vectors at no extra cost.
-      // (The paper's Algorithm 5 sidesteps this by only returning size k.)
-      for (int j = 1; j <= k; ++j) {
-        if (t >= (std::uint64_t{1} << j)) continue;
-        const auto& layer = vals[static_cast<std::size_t>(j)];
-        auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t z = 0; z < width; ++z) {
-          V sum = f.zero();
-          for (graph::VertexId i = 0; i < n; ++i)
-            sum = f.add(sum, layer[static_cast<std::size_t>(z) * n + i]);
-          acc[z] = f.add(acc[z], sum);
-        }
-      }
-    }
-    // Fold this round's detections into the table (true entries stay true).
-    for (int j = 1; j <= k; ++j)
-      for (std::uint32_t z = 0; z < width; ++z)
-        if (accum[static_cast<std::size_t>(j)][z] != f.zero())
-          table.feasible[static_cast<std::size_t>(j)][z] = true;
-    if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
+  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
+  std::vector<std::uint32_t> own(view.num_local());
+  for (std::uint32_t li = 0; li < view.num_local(); ++li) {
+    MIDAS_REQUIRE(view.vertices[li] < weights.size(),
+                  "one weight per vertex required");
+    own[li] = weights[view.vertices[li]];
   }
+  const std::uint32_t width = max_weight_of(own, k) + 1;
+
+  FeasibilityTable table;
+  table.k = k;
+  table.max_weight = width - 1;
+  table.feasible.assign(static_cast<std::size_t>(k) + 1,
+                        std::vector<bool>(width, false));
+  if (view.num_local() == 0) return table;
+
+  const bool bitsliced = detail::use_bitsliced(f, opt.kernel);
+  MIDAS_TRACE_SPAN(bitsliced ? "seq.scan.bitsliced" : "seq.scan.scalar",
+                   {"k", k});
+  (void)detail::run_sequential(
+      view, f, k, opt.rounds(), bitsliced,
+      static_cast<std::size_t>(k + 1) * width,
+      [&](int, auto acc) {
+        // Fold this round's detections into the table (true entries stay
+        // true); the accumulator holds one sum per (j, z).
+        for (std::size_t i = width; i < acc.size(); ++i)
+          if (acc[i] != 0) table.feasible[i / width][i % width] = true;
+        return opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z);
+      },
+      [&](const detail::PhaseRank& pr, auto&& rounds) {
+        detail::scan_rank(pr, rounds, f, k, opt.seed, weights, width);
+      });
+  return table;
 }
-
-template <gf::Bitsliceable F>
-void scan_bitsliced(const graph::Graph& g,
-                    const std::vector<std::uint32_t>& weights,
-                    const ScanOptions& opt, const F& f, HashIds id,
-                    FeasibilityTable& table) {
-  const int k = opt.k;
-  const graph::VertexId n = g.num_vertices();
-  using V = typename F::value_type;
-  using BS = gf::BitslicedGF;
-  const BS bs(f);
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  const std::uint32_t width = table.max_weight + 1;
-  std::vector<std::uint32_t> v(n);
-  std::vector<V> c1(n);  // base-case coefficients, hoisted per round
-  std::vector<std::vector<V>> accum(static_cast<std::size_t>(k) + 1,
-                                    std::vector<V>(width, f.zero()));
-
-  gf::detail_bs::dispatch_block(iters, f, [&](auto wt, auto lc) {
-    using W = typename decltype(wt)::type;
-    constexpr int LC = decltype(lc)::value;
-    constexpr std::uint64_t kLanes = gf::detail_bs::kLanesOf<W>;
-    // vals[j][(z * n + i) * LC .. +LC): the block of P(i, j, z).
-    std::vector<std::vector<W>> vals(static_cast<std::size_t>(k) + 1);
-    for (int j = 1; j <= k; ++j)
-      vals[static_cast<std::size_t>(j)].assign(
-          static_cast<std::size_t>(width) * n * LC, 0);
-    detail_fold::LayeredFold<W> fold;
-
-    for (int round = 0; round < opt.rounds(); ++round) {
-      MIDAS_TRACE_SPAN("seq.round", {"round", round});
-      for (graph::VertexId i = 0; i < n; ++i) {
-        v[i] = v_vector(opt.seed, round, id(i), k);
-        c1[i] = field_coeff(f, opt.seed, round, id(i), 1);
-      }
-      for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
-
-      for (std::uint64_t base_t = 0; base_t < iters; base_t += kLanes) {
-        const int lanes =
-            static_cast<int>(std::min<std::uint64_t>(kLanes, iters - base_t));
-        auto& base = vals[1];
-        std::fill(base.begin(), base.end(), W{0});
-        for (graph::VertexId i = 0; i < n; ++i)
-          BS::broadcast_w<LC>(
-              &base[(static_cast<std::size_t>(weights[i]) * n + i) * LC],
-              c1[i], BS::live_mask<W>(v[i], base_t, lanes));
-        // Neighbour-first, fixed-width fold (core/layered_fold.hpp): vertex
-        // i's row in layer j starts at word i * LC, weight rows n * LC
-        // apart.
-        for (int j = 2; j <= k; ++j) {
-          auto& out = vals[static_cast<std::size_t>(j)];
-          std::fill(out.begin(), out.end(), W{0});
-          fold.level(j, width, 1, static_cast<std::size_t>(n) * LC, LC);
-          for (graph::VertexId i = 0; i < n; ++i) {
-            const std::size_t row = static_cast<std::size_t>(i) * LC;
-            if (!fold.template vertex<LC>([&](int j1) {
-                  return vals[static_cast<std::size_t>(j1)].data() + row;
-                }))
-              continue;
-            for (graph::VertexId u : g.neighbors(i)) {
-              const BS::Matrix sig = bs.matrix(
-                  sigma_coeff(f, opt.seed, round, id(i), id(u),
-                              static_cast<std::uint32_t>(j)));
-              fold.template neighbour<LC>(sig, [&](int j2) {
-                return vals[static_cast<std::size_t>(j2)].data() +
-                       static_cast<std::size_t>(u) * LC;
-              });
-            }
-            fold.template finish<LC>(bs, out.data() + row);
-          }
-        }
-        // Size-j accumulators only fold iterations t < 2^j (see the scalar
-        // kernel's comment); within this block that is a prefix lane mask.
-        for (int j = 1; j <= k; ++j) {
-          const std::uint64_t lim = std::uint64_t{1} << j;
-          if (base_t >= lim) continue;
-          const auto jmask = static_cast<W>(gf::detail_bs::low_lanes(
-              static_cast<int>(std::min<std::uint64_t>(lanes, lim - base_t))));
-          auto& acc = accum[static_cast<std::size_t>(j)];
-          for (std::uint32_t z = 0; z < width; ++z)
-            acc[z] = f.add(acc[z],
-                           static_cast<V>(gf::fold_xor_rows<LC>(
-                               vals[static_cast<std::size_t>(j)].data() +
-                                   static_cast<std::size_t>(z) * n * LC,
-                               n, LC, jmask)));
-        }
-      }
-      for (int j = 1; j <= k; ++j)
-        for (std::uint32_t z = 0; z < width; ++z)
-          if (accum[static_cast<std::size_t>(j)][z] != f.zero())
-            table.feasible[static_cast<std::size_t>(j)][z] = true;
-      if (opt.watch_j > 0 && table.at(opt.watch_j, opt.watch_z)) break;
-    }
-  });
-}
-
-}  // namespace detail_seq
 
 /// Build the (size, weight) feasibility table for connected subgraphs of up
 /// to `k` vertices, where vertex i contributes integer weight weights[i].
@@ -728,33 +367,10 @@ FeasibilityTable detect_scan_seq(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights,
     const ScanOptions& opt, const F& f = F{},
     std::span<const graph::VertexId> hash_ids = {}) {
-  const int k = opt.k;
-  MIDAS_REQUIRE(k >= 1 && k <= 28, "k must be in [1,28]");
-  const graph::VertexId n = g.num_vertices();
-  MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
-  const detail_seq::HashIds id(g, hash_ids);
-
-  // Maximum achievable weight of a k-subset bounds the table width.
-  const std::uint32_t wmax = max_weight_of(weights, k);
-
-  FeasibilityTable table;
-  table.k = k;
-  table.max_weight = wmax;
-  table.feasible.assign(static_cast<std::size_t>(k) + 1,
-                        std::vector<bool>(wmax + 1, false));
-  if (n == 0) return table;
-
-  const bool bitsliced = detail_seq::use_bitsliced(f, opt.kernel);
-  MIDAS_TRACE_SPAN(bitsliced ? "seq.scan.bitsliced" : "seq.scan.scalar",
-                   {"k", k});
-  if (bitsliced) {
-    if constexpr (gf::Bitsliceable<F>) {
-      detail_seq::scan_bitsliced(g, weights, opt, f, id, table);
-      return table;
-    }
-  }
-  detail_seq::scan_scalar(g, weights, opt, f, id, table);
-  return table;
+  MIDAS_REQUIRE(weights.size() == g.num_vertices(),
+                "one weight per vertex required");
+  return detect_scan_seq(detail_seq::whole_view(g, hash_ids),
+                         detail_seq::by_hash_id(weights, hash_ids), opt, f);
 }
 
 }  // namespace midas::core

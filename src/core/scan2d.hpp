@@ -58,6 +58,156 @@ struct Feasibility2D {
   }
 };
 
+namespace detail {
+
+/// The scan2d DP, scalar only: per size j, one (baseline y, weight z) cell
+/// per vertex, P(i, 1, b(i), w(i)) = c_i [v_i ⟂ t] for b(i) within the cap,
+/// and P(i, j, y, z) = sum_u sigma_{i,u,j} sum_{j1, y1, z1} P(i, j1, y1, z1)
+/// P(u, j - j1, y - y1, z - z1). The accumulator holds one sum per (size,
+/// baseline, weight) cell, acc[j * bw * ww + y * ww + z], with scan's
+/// subgroup-restricted accumulation per size. `baseline` and `weight` are
+/// indexed by the view's vertex ids; messages carry both weight axes.
+template <gf::GaloisField F, typename Rounds>
+void scan2d_rank(const PhaseRank& pr, Rounds&& rounds, const F& f,
+                 int s_max, std::uint64_t seed,
+                 const std::vector<std::uint32_t>& baseline,
+                 const std::vector<std::uint32_t>& weight, std::uint32_t bw,
+                 std::uint32_t ww) {
+  using V = typename F::value_type;
+  const std::uint32_t plane = bw * ww;
+  const auto& view = pr.view;
+  const std::uint32_t nl = view.num_local();
+  const std::uint32_t ng = view.num_ghosts();
+
+  int round = 0;
+  std::vector<std::uint32_t> v(nl);
+  // c1[li]: base-case coefficient, hashed once per round.
+  std::vector<V> c1(nl);
+  // vals[j][(li * plane + y*ww + z) * batch + b]; ghosts mirror.
+  std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
+  std::vector<std::vector<V>> ghost(static_cast<std::size_t>(s_max) + 1);
+
+  auto phase = [&](std::uint64_t q0, std::size_t batch, std::span<V> accum) {
+    const std::size_t stride = static_cast<std::size_t>(plane) * batch;
+    for (int j = 1; j <= s_max; ++j) {
+      vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
+      ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
+    }
+
+    auto& base = vals[1];
+    for (std::uint32_t li = 0; li < nl; ++li) {
+      const graph::VertexId gid = view.vertices[li];
+      if (baseline[gid] >= bw) continue;  // vertex alone exceeds the cap
+      const V coeff = c1[li];
+      V* row =
+          base.data() + li * stride +
+          (static_cast<std::size_t>(baseline[gid]) * ww + weight[gid]) * batch;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const auto q = static_cast<std::uint32_t>(q0 + b);
+        row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
+      }
+    }
+    pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
+    pr.halo_values(vals[1], ghost[1], batch * plane);
+
+    for (int j = 2; j <= s_max; ++j) {
+      auto& out = vals[static_cast<std::size_t>(j)];
+      std::uint64_t ops = 0;
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const graph::VertexId gid = view.vertices[li];
+        const auto begin = view.adj_offsets[li];
+        const auto end = view.adj_offsets[li + 1];
+        for (auto e = begin; e < end; ++e) {
+          const auto ref = view.adj[e];
+          const bool is_ghost = ref.is_ghost();
+          const std::uint32_t idx = ref.index();
+          const graph::VertexId u_gid =
+              is_ghost ? view.ghosts[idx] : view.vertices[idx];
+          const V sig = sigma_coeff(f, seed, round, gid, u_gid,
+                                    static_cast<std::uint32_t>(j));
+          for (int j1 = 1; j1 <= j - 1; ++j1) {
+            const V* own_vertex =
+                vals[static_cast<std::size_t>(j1)].data() + li * stride;
+            const V* oth_vertex =
+                (is_ghost ? ghost[static_cast<std::size_t>(j - j1)].data()
+                          : vals[static_cast<std::size_t>(j - j1)].data()) +
+                idx * stride;
+            V* out_vertex = out.data() + li * stride;
+            for (std::uint32_t y = 0; y < bw; ++y) {
+              for (std::uint32_t z = 0; z < ww; ++z) {
+                V* row =
+                    out_vertex + (static_cast<std::size_t>(y) * ww + z) * batch;
+                for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
+                  for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
+                    const V* a =
+                        own_vertex +
+                        (static_cast<std::size_t>(y1) * ww + z1) * batch;
+                    const V* c = oth_vertex +
+                                 (static_cast<std::size_t>(y - y1) * ww +
+                                  (z - z1)) *
+                                     batch;
+                    for (std::size_t b = 0; b < batch; ++b) {
+                      if (a[b] == f.zero() || c[b] == f.zero()) continue;
+                      row[b] = f.add(row[b], f.mul(sig, f.mul(a[b], c[b])));
+                    }
+                    ops += batch;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+      pr.charge_compute(ops);
+      if (j < s_max)
+        pr.halo_values(vals[static_cast<std::size_t>(j)],
+                       ghost[static_cast<std::size_t>(j)], batch * plane);
+    }
+    // Subgroup-restricted accumulation per size (detail::scan_rank).
+    for (int j = 1; j <= s_max; ++j) {
+      const std::uint64_t jlimit = std::uint64_t{1} << j;
+      if (q0 >= jlimit) continue;
+      const std::size_t bmax = std::min<std::uint64_t>(batch, jlimit - q0);
+      const auto& layer = vals[static_cast<std::size_t>(j)];
+      V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
+      for (std::uint32_t li = 0; li < nl; ++li) {
+        const V* vertex = layer.data() + li * stride;
+        for (std::uint32_t cell = 0; cell < plane; ++cell) {
+          const V* row = vertex + static_cast<std::size_t>(cell) * batch;
+          for (std::size_t b = 0; b < bmax; ++b)
+            acc[cell] = f.add(acc[cell], row[b]);
+        }
+      }
+    }
+  };
+
+  auto begin_round = [&](int r) {
+    round = r;
+    for (std::uint32_t li = 0; li < nl; ++li) {
+      v[li] = v_vector(seed, round, view.vertices[li], s_max);
+      c1[li] = field_coeff(f, seed, round, view.vertices[li], 1);
+    }
+  };
+  rounds(begin_round, phase, ScalarOnly{});
+}
+
+/// An empty table of the run's shape.
+[[nodiscard]] inline Feasibility2D scan2d_table(int s_max,
+                                                std::uint32_t max_baseline,
+                                                std::uint32_t wmax) {
+  Feasibility2D table;
+  table.max_size = s_max;
+  table.max_baseline = max_baseline;
+  table.max_weight = wmax;
+  table.feasible.assign(max_baseline + 1,
+                        std::vector<bool>(wmax + 1, false));
+  return table;
+}
+
+}  // namespace detail
+
+/// Sequential Problem 2: the scan2d phase body on the one-part view of g,
+/// every round.
 template <gf::GaloisField F>
 Feasibility2D detect_scan2d_seq(const graph::Graph& g,
                                 const std::vector<std::uint32_t>& baseline,
@@ -69,103 +219,24 @@ Feasibility2D detect_scan2d_seq(const graph::Graph& g,
   MIDAS_REQUIRE(baseline.size() == n && weight.size() == n,
                 "baseline and weight must have one entry per vertex");
 
-  const std::uint32_t wmax = max_weight_of(weight, s_max);
-  const std::uint32_t bcap = opt.max_baseline;
-
-  Feasibility2D table;
-  table.max_size = s_max;
-  table.max_baseline = bcap;
-  table.max_weight = wmax;
-  table.feasible.assign(bcap + 1, std::vector<bool>(wmax + 1, false));
+  Feasibility2D table = detail::scan2d_table(
+      s_max, opt.max_baseline, max_weight_of(weight, s_max));
   if (n == 0) return table;
-
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << s_max;
-  const std::uint32_t bw = bcap + 1;
-  const std::uint32_t ww = wmax + 1;
-  // vals[j][((y * ww + z) * n) + i]
-  auto idx = [&](std::uint32_t y, std::uint32_t z, graph::VertexId i) {
-    return (static_cast<std::size_t>(y) * ww + z) * n + i;
-  };
-  std::vector<std::uint32_t> v(n);
-  std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
-  for (int j = 1; j <= s_max; ++j)
-    vals[static_cast<std::size_t>(j)].assign(
-        static_cast<std::size_t>(bw) * ww * n, f.zero());
-  // accum[j][y * ww + z]
-  std::vector<std::vector<V>> accum(
-      static_cast<std::size_t>(s_max) + 1,
-      std::vector<V>(static_cast<std::size_t>(bw) * ww, f.zero()));
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, s_max);
-    for (auto& a : accum) std::fill(a.begin(), a.end(), f.zero());
-
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      auto& base = vals[1];
-      std::fill(base.begin(), base.end(), f.zero());
-      for (graph::VertexId i = 0; i < n; ++i) {
-        if (baseline[i] > bcap) continue;  // vertex alone exceeds the cap
-        if (!inner_product_odd(v[i], static_cast<std::uint32_t>(t)))
-          base[idx(baseline[i], weight[i], i)] =
-              field_coeff(f, opt.seed, round, i, 1);
-      }
-      for (int j = 2; j <= s_max; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::fill(out.begin(), out.end(), f.zero());
-        for (graph::VertexId i = 0; i < n; ++i) {
-          for (graph::VertexId u : g.neighbors(i)) {
-            const V sig = sigma_coeff(f, opt.seed, round, i, u,
-                                      static_cast<std::uint32_t>(j));
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const auto& own = vals[static_cast<std::size_t>(j1)];
-              const auto& oth = vals[static_cast<std::size_t>(j - j1)];
-              for (std::uint32_t y = 0; y < bw; ++y) {
-                for (std::uint32_t z = 0; z < ww; ++z) {
-                  V acc = f.zero();
-                  for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
-                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                      const V a = own[idx(y1, z1, i)];
-                      if (a == f.zero()) continue;
-                      const V b = oth[idx(y - y1, z - z1, u)];
-                      if (b == f.zero()) continue;
-                      acc = f.add(acc, f.mul(a, b));
-                    }
-                  }
-                  if (acc != f.zero()) {
-                    auto& cell = out[idx(y, z, i)];
-                    cell = f.add(cell, f.mul(sig, acc));
-                  }
-                }
-              }
-            }
-          }
-        }
-      }
-      // Subgroup-restricted accumulation per size (see detect_seq.hpp).
-      for (int j = 1; j <= s_max; ++j) {
-        if (t >= (std::uint64_t{1} << j)) continue;
-        const auto& layer = vals[static_cast<std::size_t>(j)];
-        auto& acc = accum[static_cast<std::size_t>(j)];
-        for (std::uint32_t y = 0; y < bw; ++y) {
-          for (std::uint32_t z = 0; z < ww; ++z) {
-            V sum = f.zero();
-            for (graph::VertexId i = 0; i < n; ++i)
-              sum = f.add(sum, layer[idx(y, z, i)]);
-            acc[static_cast<std::size_t>(y) * ww + z] =
-                f.add(acc[static_cast<std::size_t>(y) * ww + z], sum);
-          }
-        }
-      }
-    }
-    for (int j = 1; j <= s_max; ++j)
-      for (std::uint32_t y = 0; y < bw; ++y)
-        for (std::uint32_t z = 0; z < ww; ++z)
-          if (accum[static_cast<std::size_t>(j)]
-                   [static_cast<std::size_t>(y) * ww + z] != f.zero())
-            table.feasible[y][z] = true;
-  }
+  const std::uint32_t bw = opt.max_baseline + 1;
+  const std::uint32_t ww = table.max_weight + 1;
+  const std::uint32_t plane = bw * ww;
+  (void)detail::run_sequential(
+      detail_seq::whole_view(g, {}), f, s_max, opt.rounds(),
+      /*bitsliced=*/false, static_cast<std::size_t>(s_max + 1) * plane,
+      [&](int, auto acc) {
+        for (std::size_t i = plane; i < acc.size(); ++i)
+          if (acc[i] != 0) table.feasible[i % plane / ww][i % ww] = true;
+        return false;
+      },
+      [&](const detail::PhaseRank& pr, auto&& rounds) {
+        detail::scan2d_rank(pr, rounds, f, s_max, opt.seed, baseline, weight,
+                            bw, ww);
+      });
   return table;
 }
 
@@ -182,7 +253,6 @@ Feasibility2D midas_scan2d(const graph::Graph& g,
                            const std::vector<std::uint32_t>& weight,
                            const Scan2DOptions& sopt,
                            const MidasOptions& mopt, const F& f = F{}) {
-  using V = typename F::value_type;
   detail::require_options(part.parts == mopt.n1,
                           "partition must have N1 parts");
   const int s_max = sopt.max_size;
@@ -219,141 +289,11 @@ Feasibility2D midas_scan2d(const graph::Graph& g,
 
   auto run = detail::run_phase_engine(views, opt, f, rec, [&](
       const detail::PhaseRank& pr, auto&& rounds) {
-    runtime::Comm& world = pr.world;
-    runtime::Comm& group = pr.group;
-    const auto& view = pr.view;
-    const std::uint32_t nl = view.num_local();
-    const std::uint32_t ng = view.num_ghosts();
-
-    int round = 0;
-    std::vector<std::uint32_t> v(nl);
-    // c1[li]: base-case coefficient, hashed once per round.
-    std::vector<V> c1(nl);
-    // vals[j][(li * plane + y*ww + z) * batch + b]; ghosts mirror.
-    std::vector<std::vector<V>> vals(static_cast<std::size_t>(s_max) + 1);
-    std::vector<std::vector<V>> ghost(static_cast<std::size_t>(s_max) + 1);
-
-    auto run_phase = [&](std::uint64_t q0, std::size_t batch,
-                         std::span<V> accum) {
-      const std::size_t stride = static_cast<std::size_t>(plane) * batch;
-      for (int j = 1; j <= s_max; ++j) {
-        vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
-        ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
-      }
-
-      auto& base = vals[1];
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
-        if (baseline[gid] >= bw) continue;
-        const V coeff = c1[li];
-        V* row = base.data() + li * stride +
-                 (static_cast<std::size_t>(baseline[gid]) * ww +
-                  weight[gid]) *
-                     batch;
-        for (std::size_t b = 0; b < batch; ++b) {
-          const auto q = static_cast<std::uint32_t>(q0 + b);
-          row[b] = inner_product_odd(v[li], q) ? f.zero() : coeff;
-        }
-      }
-      world.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      detail::halo_exchange(group, view, vals[1], ghost[1],
-                            batch * plane);
-
-      for (int j = 2; j <= s_max; ++j) {
-        auto& out = vals[static_cast<std::size_t>(j)];
-        std::uint64_t ops = 0;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const graph::VertexId gid = view.vertices[li];
-          const auto begin = view.adj_offsets[li];
-          const auto end = view.adj_offsets[li + 1];
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const bool is_ghost = ref.is_ghost();
-            const std::uint32_t idx = ref.index();
-            const graph::VertexId u_gid =
-                is_ghost ? view.ghosts[idx] : view.vertices[idx];
-            const V sig = sigma_coeff(f, opt.seed, round, gid, u_gid,
-                                      static_cast<std::uint32_t>(j));
-            for (int j1 = 1; j1 <= j - 1; ++j1) {
-              const V* own_vertex =
-                  vals[static_cast<std::size_t>(j1)].data() +
-                  li * stride;
-              const V* oth_vertex =
-                  (is_ghost
-                       ? ghost[static_cast<std::size_t>(j - j1)].data()
-                       : vals[static_cast<std::size_t>(j - j1)].data()) +
-                  idx * stride;
-              V* out_vertex = out.data() + li * stride;
-              for (std::uint32_t y = 0; y < bw; ++y) {
-                for (std::uint32_t z = 0; z < ww; ++z) {
-                  V* row = out_vertex +
-                           (static_cast<std::size_t>(y) * ww + z) * batch;
-                  for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
-                    for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                      const V* a = own_vertex +
-                                   (static_cast<std::size_t>(y1) * ww +
-                                    z1) *
-                                       batch;
-                      const V* c =
-                          oth_vertex +
-                          (static_cast<std::size_t>(y - y1) * ww +
-                           (z - z1)) *
-                              batch;
-                      for (std::size_t b = 0; b < batch; ++b) {
-                        if (a[b] == f.zero() || c[b] == f.zero())
-                          continue;
-                        row[b] = f.add(row[b],
-                                       f.mul(sig, f.mul(a[b], c[b])));
-                      }
-                      ops += batch;
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-        world.charge_compute(ops);
-        if (j < s_max)
-          detail::halo_exchange(group, view,
-                                vals[static_cast<std::size_t>(j)],
-                                ghost[static_cast<std::size_t>(j)],
-                                batch * plane);
-      }
-      // Subgroup-restricted accumulation per size.
-      for (int j = 1; j <= s_max; ++j) {
-        const std::uint64_t jlimit = std::uint64_t{1} << j;
-        if (q0 >= jlimit) continue;
-        const std::size_t bmax =
-            std::min<std::uint64_t>(batch, jlimit - q0);
-        const auto& layer = vals[static_cast<std::size_t>(j)];
-        V* acc = accum.data() + static_cast<std::size_t>(j) * plane;
-        for (std::uint32_t li = 0; li < nl; ++li) {
-          const V* vertex = layer.data() + li * stride;
-          for (std::uint32_t cell = 0; cell < plane; ++cell) {
-            const V* row = vertex + static_cast<std::size_t>(cell) * batch;
-            for (std::size_t b = 0; b < bmax; ++b)
-              acc[cell] = f.add(acc[cell], row[b]);
-          }
-        }
-      }
-    };
-
-    auto begin_round = [&](int r) {
-      round = r;
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        v[li] = v_vector(opt.seed, round, view.vertices[li], s_max);
-        c1[li] = field_coeff(f, opt.seed, round, view.vertices[li], 1);
-      }
-    };
-    rounds(begin_round, run_phase, detail::ScalarOnly{});
+    detail::scan2d_rank(pr, rounds, f, s_max, opt.seed, baseline, weight, bw,
+                        ww);
   });
 
-  Feasibility2D table;
-  table.max_size = s_max;
-  table.max_baseline = sopt.max_baseline;
-  table.max_weight = wmax;
-  table.feasible.assign(bw, std::vector<bool>(ww, false));
+  Feasibility2D table = detail::scan2d_table(s_max, sopt.max_baseline, wmax);
   for (std::size_t i = 0; i < run.cells.size(); ++i)
     if (run.cells[i]) table.feasible[i % plane / ww][i % ww] = true;
   table.vtime = run.result.vtime;

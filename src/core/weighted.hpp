@@ -30,7 +30,9 @@ struct WeightedPathResult {
 
 /// Detect the achievable (and maximum) total vertex weight over simple
 /// k-vertex paths. Weights must be small integers (use scan::round_weights
-/// for real-valued inputs).
+/// for real-valued inputs). Runs the weighted k-path phase body
+/// (detail::weighted_kpath_rank, shared with midas_weighted_kpath) on the
+/// one-part view of g, every round (no early exit).
 template <gf::GaloisField F>
 WeightedPathResult max_weight_kpath_seq(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights, int k,
@@ -39,64 +41,23 @@ WeightedPathResult max_weight_kpath_seq(
   const graph::VertexId n = g.num_vertices();
   MIDAS_REQUIRE(weights.size() == n, "one weight per vertex required");
 
-  const std::uint32_t wmax = max_weight_of(weights, k);
-  const std::uint32_t width = wmax + 1;
-
+  const std::uint32_t width = max_weight_of(weights, k) + 1;
   WeightedPathResult res;
   res.feasible_weight.assign(width, false);
   if (n == 0) return res;
 
-  using V = typename F::value_type;
-  const std::uint64_t iters = std::uint64_t{1} << k;
-  std::vector<std::uint32_t> v(n);
-  // cur[z * n + i] = P(i, j, z) at the current level.
-  std::vector<V> cur(static_cast<std::size_t>(width) * n);
-  std::vector<V> next(static_cast<std::size_t>(width) * n);
-  std::vector<V> accum(width);
-
-  for (int round = 0; round < opt.rounds(); ++round) {
-    for (graph::VertexId i = 0; i < n; ++i)
-      v[i] = v_vector(opt.seed, round, i, k);
-    std::fill(accum.begin(), accum.end(), f.zero());
-
-    for (std::uint64_t t = 0; t < iters; ++t) {
-      std::fill(cur.begin(), cur.end(), f.zero());
-      for (graph::VertexId i = 0; i < n; ++i) {
-        if (!inner_product_odd(v[i], static_cast<std::uint32_t>(t)))
-          cur[static_cast<std::size_t>(weights[i]) * n + i] =
-              field_coeff(f, opt.seed, round, i, 1);
-      }
-      for (int j = 2; j <= k; ++j) {
-        std::fill(next.begin(), next.end(), f.zero());
-        for (graph::VertexId i = 0; i < n; ++i) {
-          if (inner_product_odd(v[i], static_cast<std::uint32_t>(t)))
-            continue;
-          const V rj =
-              field_coeff(f, opt.seed, round, i,
-                          static_cast<std::uint32_t>(j));
-          const std::uint32_t wi = weights[i];
-          for (std::uint32_t z = wi; z < width; ++z) {
-            V acc = f.zero();
-            const V* prev =
-                cur.data() + static_cast<std::size_t>(z - wi) * n;
-            for (graph::VertexId u : g.neighbors(i))
-              acc = f.add(acc, prev[u]);
-            if (acc != f.zero())
-              next[static_cast<std::size_t>(z) * n + i] = f.mul(rj, acc);
-          }
-        }
-        std::swap(cur, next);
-      }
-      for (std::uint32_t z = 0; z < width; ++z) {
-        V sum = f.zero();
-        const V* row = cur.data() + static_cast<std::size_t>(z) * n;
-        for (graph::VertexId i = 0; i < n; ++i) sum = f.add(sum, row[i]);
-        accum[z] = f.add(accum[z], sum);
-      }
-    }
-    for (std::uint32_t z = 0; z < width; ++z)
-      if (accum[z] != f.zero()) res.feasible_weight[z] = true;
-  }
+  (void)detail::run_sequential(
+      detail_seq::whole_view(g, {}), f, k, opt.rounds(),
+      /*bitsliced=*/false, width,
+      [&](int, auto acc) {
+        for (std::uint32_t z = 0; z < width; ++z)
+          if (acc[z] != 0) res.feasible_weight[z] = true;
+        return false;
+      },
+      [&](const detail::PhaseRank& pr, auto&& rounds) {
+        detail::weighted_kpath_rank(pr, rounds, f, k, opt.seed, weights,
+                                    width);
+      });
   for (std::uint32_t z = 0; z < width; ++z)
     if (res.feasible_weight[z]) res.max_weight = z;
   return res;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 
 #include "core/motif.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gfsmall.hpp"
 #include "graph/algorithms.hpp"
+#include "partition/partitioned_graph.hpp"
 #include "util/require.hpp"
 
 namespace midas::core {
@@ -410,8 +410,10 @@ bool validate_tree_embedding(const Graph& g, const Graph& tree,
 // adds exactly zero to every round's total: each of its terms repeats a
 // vertex and cancels in characteristic 2 (a "no" instance evaluates to
 // zero). So each oracle call runs only on the residual's components of >= k
-// vertices, and hashes each of their vertices by its index in the residual
-// — the id the full residual's oracle would give it. Every round total, and
+// vertices (a one-part partition::induced_view of them), and hashes each of
+// their vertices by its index in the residual — the id the full residual's
+// oracle would give it; per-vertex inputs are read at that index too, so a
+// caller passes them indexed by the residual. Every round total, and
 // with it the answer and its round, is then bit-identical to the oracle on
 // the whole residual; a residual with no such component is a "no" with no
 // oracle run at all. Every call consumes its seed (opt.seed + 1 + call), so
@@ -420,9 +422,9 @@ bool validate_tree_embedding(const Graph& g, const Graph& tree,
 
 namespace {
 
-/// Run chunked_peel over g, asking `oracle(sub, hash_ids, seed)` about the
-/// part of each residual that can hold a witness of `size` vertices (see
-/// above); returns the survivors.
+/// Run chunked_peel over g, asking `oracle(view, keep, seed)` about the
+/// part of each residual `keep` that can hold a witness of `size` vertices,
+/// seated on its one-part view (see above); returns the survivors.
 template <typename Oracle>
 std::vector<bool> peel_on_components(const Graph& g, int size,
                                      std::uint64_t seed, Oracle&& oracle) {
@@ -435,20 +437,19 @@ std::vector<bool> peel_on_components(const Graph& g, int size,
         const std::uint64_t call_seed = seed + 1 + (++call);
         pass.run(keep, static_cast<std::size_t>(size));
         if (pass.vertices().empty()) return false;
-        return oracle(graph::induced_subgraph(g, pass.vertices()),
-                      std::span<const VertexId>(pass.keep_index()),
-                      call_seed);
+        return oracle(
+            partition::induced_view(g, pass.vertices(), pass.keep_index()),
+            keep, call_seed);
       },
       alive);
   return alive;
 }
 
-/// `values` (one per vertex of g) restricted to the vertices of `sub`.
-std::vector<std::uint32_t> values_on(const graph::InducedSubgraph& sub,
+/// `values` (one per vertex of g) at the vertices `vs`, in order.
+std::vector<std::uint32_t> values_on(const std::vector<VertexId>& vs,
                                      const std::vector<std::uint32_t>& values) {
-  std::vector<std::uint32_t> out(sub.to_original.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = values[sub.to_original[i]];
+  std::vector<std::uint32_t> out(vs.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = values[vs[i]];
   return out;
 }
 
@@ -459,11 +460,11 @@ std::optional<std::vector<VertexId>> peel_kpath(const Graph& g, int k,
   const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
     return peel_on_components(
         g, k, opt.seed,
-        [&](const graph::InducedSubgraph& sub,
-            std::span<const VertexId> ids, std::uint64_t seed) {
+        [&](const partition::PartView& view, const std::vector<VertexId>&,
+            std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_kpath_seq(sub.graph, dv, f, ids).found;
+          return detect_kpath_seq(view, dv, f).found;
         });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
@@ -491,18 +492,17 @@ std::optional<std::vector<VertexId>> peel_connected_subgraph(
   const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
     return peel_on_components(
         g, j, opt.seed,
-        [&](const graph::InducedSubgraph& sub,
-            std::span<const VertexId> ids, std::uint64_t seed) {
+        [&](const partition::PartView& view,
+            const std::vector<VertexId>& keep, std::uint64_t seed) {
           ScanOptions sv = s;
           sv.seed = seed;
-          return detect_scan_seq(sub.graph, values_on(sub, weights), sv, f,
-                                 ids)
+          return detect_scan_seq(view, values_on(keep, weights), sv, f)
               .at(j, z);
         });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
-  auto local =
-      exact_connected_subgraph(sub.graph, values_on(sub, weights), j, z);
+  auto local = exact_connected_subgraph(
+      sub.graph, values_on(sub.to_original, weights), j, z);
   if (!local) return std::nullopt;
   std::vector<VertexId> subset;
   subset.reserve(local->size());
@@ -518,11 +518,11 @@ std::optional<std::vector<VertexId>> peel_tree_embedding(
   const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
     return peel_on_components(
         g, k, opt.seed,
-        [&](const graph::InducedSubgraph& sub,
-            std::span<const VertexId> ids, std::uint64_t seed) {
+        [&](const partition::PartView& view, const std::vector<VertexId>&,
+            std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_ktree_seq(sub.graph, td, dv, f, ids).found;
+          return detect_ktree_seq(view, td, dv, f).found;
         });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
@@ -545,17 +545,18 @@ std::optional<std::vector<VertexId>> peel_motif(
   const auto alive = with_witness_field(opt.field_bits, [&](const auto& f) {
     return peel_on_components(
         g, k, opt.seed,
-        [&](const graph::InducedSubgraph& sub,
-            std::span<const VertexId> ids, std::uint64_t seed) {
+        [&](const partition::PartView& view,
+            const std::vector<VertexId>& keep, std::uint64_t seed) {
           DetectOptions dv = oracle_options(opt, k);
           dv.seed = seed;
-          return detect_motif_seq(sub.graph, values_on(sub, colors), motif,
-                                  dv, f, ids)
+          return detect_motif_seq(view, values_on(keep, colors), motif, dv,
+                                  f)
               .found;
         });
   });
   const auto sub = graph::induced_subgraph(g, alive_list(alive));
-  auto local = exact_motif(sub.graph, values_on(sub, colors), motif);
+  auto local =
+      exact_motif(sub.graph, values_on(sub.to_original, colors), motif);
   if (!local) return std::nullopt;  // no witness: the caller's "yes" lied
   std::vector<VertexId> vs;
   vs.reserve(local->size());

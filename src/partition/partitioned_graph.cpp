@@ -231,4 +231,35 @@ std::vector<PartView> build_dipart_views(const graph::DiGraph& g,
   return views;
 }
 
+PartView induced_view(const graph::Graph& g,
+                      const std::vector<graph::VertexId>& vertices,
+                      std::span<const graph::VertexId> hash_ids) {
+  using graph::VertexId;
+  MIDAS_REQUIRE(hash_ids.empty() || hash_ids.size() == vertices.size(),
+                "hash ids: none, or one per vertex");
+  constexpr std::uint32_t kOut = ~std::uint32_t{0};
+  std::vector<std::uint32_t> local_index(g.num_vertices(), kOut);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    MIDAS_REQUIRE(vertices[i] < g.num_vertices() &&
+                      (i == 0 || vertices[i - 1] < vertices[i]),
+                  "induced view: vertices must be in range and ascending");
+    local_index[vertices[i]] = static_cast<std::uint32_t>(i);
+  }
+  PartView view;
+  if (hash_ids.empty())
+    view.vertices = vertices;
+  else
+    view.vertices.assign(hash_ids.begin(), hash_ids.end());
+  view.send_to.assign(1, {});
+  view.recv_from.assign(1, {});
+  view.adj_offsets.assign(vertices.size() + 1, 0);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    for (VertexId v : g.neighbors(vertices[i]))
+      if (local_index[v] != kOut)
+        view.adj.push_back(NbrRef::local(local_index[v]));
+    view.adj_offsets[i + 1] = view.adj.size();
+  }
+  return view;
+}
+
 }  // namespace midas::partition

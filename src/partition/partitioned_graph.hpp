@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -90,5 +91,15 @@ struct PartView {
 /// mirror of the receivers' ghost sets, in the same sorted order.
 [[nodiscard]] std::vector<PartView> build_dipart_views(
     const graph::DiGraph& g, const Partition& p);
+
+/// The one-part view of the subgraph of g induced on `vertices` (ascending,
+/// in range): local index = position in `vertices`, `vertices` field =
+/// hash_ids (one per vertex; `vertices` itself when empty), no ghosts, and
+/// one empty send/receive list — what the sequential detectors seat their
+/// one rank on. With all of g's vertices and no hash ids it equals
+/// build_part_views over a one-part partition. O(n + the induced edges).
+[[nodiscard]] PartView induced_view(
+    const graph::Graph& g, const std::vector<graph::VertexId>& vertices,
+    std::span<const graph::VertexId> hash_ids = {});
 
 }  // namespace midas::partition

@@ -10,13 +10,19 @@
 #include <numeric>
 
 #include "baseline/brute_force.hpp"
+#include "core/detect_directed.hpp"
 #include "core/detect_seq.hpp"
+#include "core/errors.hpp"
 #include "core/motif.hpp"
+#include "core/scan2d.hpp"
+#include "core/weighted.hpp"
 #include "gf/gf256.hpp"
 #include "gf/gf64.hpp"
 #include "gf/gfsmall.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/digraph.hpp"
 #include "graph/generators.hpp"
+#include "partition/partitioned_graph.hpp"
 #include "util/rng.hpp"
 
 namespace midas::core {
@@ -470,6 +476,306 @@ TEST(ComponentPass, EdgeCases) {
   EXPECT_THROW(pass.run({2, 1, 0}, 2), std::invalid_argument);
   EXPECT_THROW(pass.run({0, 9}, 2), std::invalid_argument);
   EXPECT_THROW(pass.run({0, 1}, 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The sequential round driver: every detector runs the engine's phase
+// bodies on a one-part view, in phases of min(2^k, 64) iterations
+// ---------------------------------------------------------------------------
+
+/// Sizes that cover a batch under 8 lanes (k = 1, 2), exactly 8 and 64
+/// lanes (k = 3, 6) and more than one phase (k = 7, 9).
+constexpr int kDriverKs[] = {1, 2, 3, 6, 7, 9};
+
+/// Small graphs of mixed density, and a star (no path beyond 3 vertices):
+/// every family meets both answers.
+std::vector<Graph> driver_graphs() {
+  Xoshiro256 rng(2323);
+  std::vector<Graph> gs{graph::star_graph(11)};
+  for (const double p : {0.12, 0.22, 0.4})
+    gs.push_back(graph::erdos_renyi_gnp(11, p, rng));
+  return gs;
+}
+
+/// Every round runs, so the two kernels' round totals cover the budget.
+DetectOptions driver_opts(int k, Kernel kernel, std::uint64_t seed) {
+  DetectOptions o = opts(k, 1e-3, seed);
+  o.early_exit = false;
+  o.kernel = kernel;
+  return o;
+}
+
+/// The run record of one sequential run: every round, every iteration.
+void expect_full_record(const DetectResult& r, const DetectOptions& o,
+                        int k) {
+  EXPECT_EQ(r.rounds_run, o.rounds());
+  EXPECT_EQ(r.round_totals.size(), static_cast<std::size_t>(o.rounds()));
+  EXPECT_EQ(r.iterations, static_cast<std::uint64_t>(o.rounds()) << k);
+  int first = -1;
+  for (std::size_t i = 0; i < r.round_totals.size() && first < 0; ++i)
+    if (r.round_totals[i] != 0) first = static_cast<int>(i);
+  EXPECT_EQ(r.found_round, first);
+  EXPECT_EQ(r.found, first >= 0);
+}
+
+TEST(SeqDriver, KpathBothKernelsAgreeWithBruteForce) {
+  const gf::GF256 f;
+  int yes = 0, no = 0;
+  for (const Graph& g : driver_graphs())
+    for (const int k : kDriverKs) {
+      const bool truth = has_kpath(g, k);
+      const auto scalar = detect_kpath_seq(
+          g, driver_opts(k, Kernel::kScalar, 70 + k), f);
+      const auto sliced = detect_kpath_seq(
+          g, driver_opts(k, Kernel::kBitsliced, 70 + k), f);
+      EXPECT_EQ(scalar.round_totals, sliced.round_totals) << "k=" << k;
+      EXPECT_EQ(scalar.found, truth) << "k=" << k;
+      EXPECT_EQ(sliced.found, truth) << "k=" << k;
+      if (k > 1) expect_full_record(sliced, driver_opts(k, {}, 0), k);
+      truth ? ++yes : ++no;
+    }
+  EXPECT_GT(yes, 0);
+  EXPECT_GT(no, 0);
+}
+
+TEST(SeqDriver, DirectedKpathBothKernelsAgreeWithBruteForce) {
+  const gf::GF256 f;
+  Xoshiro256 rng(4545);
+  int yes = 0, no = 0;
+  for (const graph::EdgeId m : {14u, 24u, 40u}) {
+    const graph::DiGraph g = graph::random_digraph(11, m, rng);
+    for (const int k : kDriverKs) {
+      const bool truth = baseline::has_directed_kpath(g, k);
+      const auto scalar = detect_kpath_directed_seq(
+          g, driver_opts(k, Kernel::kScalar, 80 + k), f);
+      const auto sliced = detect_kpath_directed_seq(
+          g, driver_opts(k, Kernel::kBitsliced, 80 + k), f);
+      EXPECT_EQ(scalar.round_totals, sliced.round_totals) << "k=" << k;
+      EXPECT_EQ(scalar.found, truth) << "m=" << m << " k=" << k;
+      EXPECT_EQ(sliced.found, truth) << "m=" << m << " k=" << k;
+      truth ? ++yes : ++no;
+    }
+  }
+  EXPECT_GT(yes, 0);
+  EXPECT_GT(no, 0);
+}
+
+TEST(SeqDriver, KtreeBothKernelsAgreeWithBruteForce) {
+  const gf::GF256 f;
+  Xoshiro256 rng(5656);
+  int yes = 0, no = 0;
+  for (const Graph& g : driver_graphs())
+    for (const int k : kDriverKs) {
+      const Graph tmpl =
+          graph::random_tree(static_cast<graph::VertexId>(k), rng);
+      const TreeDecomposition td(tmpl, 0);
+      const bool truth = baseline::has_tree_embedding(g, tmpl);
+      const auto o_scalar = driver_opts(k, Kernel::kScalar, 90 + k);
+      const auto scalar = detect_ktree_seq(g, td, o_scalar, f);
+      const auto sliced = detect_ktree_seq(
+          g, td, driver_opts(k, Kernel::kBitsliced, 90 + k), f);
+      EXPECT_EQ(scalar.round_totals, sliced.round_totals) << "k=" << k;
+      EXPECT_EQ(scalar.found, truth) << "k=" << k;
+      EXPECT_EQ(sliced.found, truth) << "k=" << k;
+      expect_full_record(scalar, o_scalar, k);
+      truth ? ++yes : ++no;
+    }
+  EXPECT_GT(yes, 0);
+  EXPECT_GT(no, 0);
+}
+
+TEST(SeqDriver, MotifBothKernelsAgreeWithBruteForce) {
+  const gf::GF256 f;
+  Xoshiro256 rng(6767);
+  int yes = 0, no = 0;
+  for (const Graph& g : driver_graphs()) {
+    std::vector<std::uint32_t> colors(g.num_vertices());
+    for (auto& c : colors) c = static_cast<std::uint32_t>(rng.below(3));
+    for (const int k : kDriverKs) {
+      std::vector<std::uint32_t> motif;
+      for (int s = 0; s < k; ++s)
+        motif.push_back(static_cast<std::uint32_t>(rng.below(3)));
+      const bool truth = baseline::has_motif(g, colors, motif);
+      const auto o_sliced = driver_opts(k, Kernel::kBitsliced, 100 + k);
+      const auto scalar = detect_motif_seq(
+          g, colors, motif, driver_opts(k, Kernel::kScalar, 100 + k), f);
+      const auto sliced = detect_motif_seq(g, colors, motif, o_sliced, f);
+      EXPECT_EQ(scalar.round_totals, sliced.round_totals) << "k=" << k;
+      EXPECT_EQ(scalar.found, truth) << "k=" << k;
+      EXPECT_EQ(sliced.found, truth) << "k=" << k;
+      expect_full_record(sliced, o_sliced, k);
+      truth ? ++yes : ++no;
+    }
+  }
+  EXPECT_GT(yes, 0);
+  EXPECT_GT(no, 0);
+}
+
+/// Weights with a short axis (two vertices of weight 1, the rest 0), so the
+/// scalar tables stay cheap at k = 9.
+std::vector<std::uint32_t> driver_weights(graph::VertexId n) {
+  std::vector<std::uint32_t> w(n, 0);
+  w[1] = w[n - 2] = 1;
+  return w;
+}
+
+TEST(SeqDriver, ScanBothKernelsAgreeWithBruteForce) {
+  const gf::GF256 f;
+  for (const Graph& g : driver_graphs()) {
+    const auto w = driver_weights(g.num_vertices());
+    for (const int k : kDriverKs) {
+      const auto truth = baseline::connected_subgraph_feasibility(g, w, k);
+      ScanOptions o;
+      o.k = k;
+      o.epsilon = 1e-3;
+      o.seed = 110 + static_cast<std::uint64_t>(k);
+      o.kernel = Kernel::kScalar;
+      const auto scalar = detect_scan_seq(g, w, o, f);
+      o.kernel = Kernel::kBitsliced;
+      const auto sliced = detect_scan_seq(g, w, o, f);
+      EXPECT_EQ(scalar.feasible, sliced.feasible) << "k=" << k;
+      EXPECT_EQ(scalar.max_weight, sliced.max_weight) << "k=" << k;
+      for (int j = 1; j <= k; ++j)
+        for (std::uint32_t z = 0; z <= sliced.max_weight; ++z)
+          EXPECT_EQ(sliced.at(j, z),
+                    z < truth[static_cast<std::size_t>(j)].size() &&
+                        truth[static_cast<std::size_t>(j)][z])
+              << "k=" << k << " j=" << j << " z=" << z;
+    }
+  }
+}
+
+TEST(SeqDriver, ScalarOnlyRecurrencesAgreeWithBruteForce) {
+  // Weighted k-path and scan2d have no bit-sliced body: the driver runs
+  // their scalar body whatever the request.
+  const gf::GF256 f;
+  for (const Graph& g : driver_graphs()) {
+    const graph::VertexId n = g.num_vertices();
+    const auto w = driver_weights(n);
+    for (const int k : kDriverKs) {
+      const DetectOptions o = driver_opts(k, Kernel::kAuto, 120 + k);
+      const auto got = max_weight_kpath_seq(g, w, k, o, f);
+      EXPECT_EQ(got.max_weight, baseline::max_weight_kpath(g, w, k))
+          << "k=" << k;
+
+      // scan2d: every connected set of <= k vertices under the baseline
+      // cap marks its (baseline, weight) cell.
+      std::vector<std::uint32_t> b(n, 0);
+      b[0] = b[n / 2] = 1;
+      Scan2DOptions s;
+      s.max_size = k;
+      s.max_baseline = 1;
+      s.epsilon = 1e-3;
+      s.seed = 130 + static_cast<std::uint64_t>(k);
+      const auto table = detect_scan2d_seq(g, b, w, s, f);
+      std::vector<std::vector<bool>> truth(
+          s.max_baseline + 1, std::vector<bool>(table.max_weight + 1));
+      baseline::enumerate_connected_subsets(
+          g, k, [&](const std::vector<graph::VertexId>& set) {
+            std::uint32_t by = 0, wz = 0;
+            for (graph::VertexId v : set) {
+              by += b[v];
+              wz += w[v];
+            }
+            if (by <= s.max_baseline) truth[by][wz] = true;
+          });
+      EXPECT_EQ(table.feasible, truth) << "k=" << k;
+    }
+  }
+}
+
+TEST(SeqDriver, FieldsWithoutPlanesRunTheScalarBody) {
+  // GF(2^64) has no bit-sliced twin: kAuto runs the scalar body, an
+  // explicit bit-sliced request is an options error.
+  const gf::GF64 f;
+  int yes = 0;
+  for (const Graph& g : driver_graphs())
+    for (const int k : kDriverKs) {
+      const DetectOptions o = driver_opts(k, Kernel::kAuto, 140 + k);
+      const auto r = detect_kpath_seq(g, o, f);
+      EXPECT_EQ(r.found, has_kpath(g, k)) << "k=" << k;
+      if (k > 1) expect_full_record(r, o, k);
+      yes += r.found ? 1 : 0;
+    }
+  EXPECT_GT(yes, 0);
+  const Graph g = graph::path_graph(5);
+  EXPECT_STREQ(kernel_name(f, Kernel::kAuto), "scalar");
+  EXPECT_THROW((void)detect_kpath_seq(g, driver_opts(3, Kernel::kBitsliced, 1),
+                                      f),
+               InvalidOptionsError);
+  const TreeDecomposition td(graph::path_graph(3), 0);
+  EXPECT_THROW((void)detect_ktree_seq(
+                   g, td, driver_opts(3, Kernel::kBitsliced, 1), f),
+               InvalidOptionsError);
+}
+
+// ---------------------------------------------------------------------------
+// The one-part view the sequential detectors seat their rank on
+// ---------------------------------------------------------------------------
+
+TEST(InducedView, IdentityEqualsOnePartPartViews) {
+  Xoshiro256 rng(7878);
+  for (const double p : {0.0, 0.1, 0.3}) {
+    const Graph g = graph::erdos_renyi_gnp(40, p, rng);
+    const std::vector<graph::VertexId> all = identity_ids(g.num_vertices());
+    const partition::Partition one{1, std::vector<int>(g.num_vertices(), 0)};
+    const auto want = partition::build_part_views(g, one).at(0);
+    for (const auto& got :
+         {partition::induced_view(g, all), partition::induced_view(g, all, all)}) {
+      EXPECT_EQ(got.part, want.part);
+      EXPECT_EQ(got.vertices, want.vertices);
+      EXPECT_EQ(got.ghosts, want.ghosts);
+      EXPECT_EQ(got.adj_offsets, want.adj_offsets);
+      ASSERT_EQ(got.adj.size(), want.adj.size());
+      for (std::size_t e = 0; e < got.adj.size(); ++e)
+        EXPECT_EQ(got.adj[e].packed, want.adj[e].packed) << "e=" << e;
+      EXPECT_EQ(got.send_to, want.send_to);
+      EXPECT_EQ(got.recv_from, want.recv_from);
+      EXPECT_EQ(got.boundary, want.boundary);
+    }
+  }
+}
+
+TEST(InducedView, SubsetAdjacencyEqualsInducedSubgraph) {
+  Xoshiro256 rng(8989);
+  const Graph g = graph::erdos_renyi_gnp(50, 0.15, rng);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<graph::VertexId> keep, ids;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+      if (rng.below(3) != 0) {
+        keep.push_back(v);
+        ids.push_back(1000 + v * 7);
+      }
+    const auto sub = graph::induced_subgraph(g, keep);
+    const auto view = partition::induced_view(g, keep, ids);
+    EXPECT_EQ(view.vertices, ids);
+    EXPECT_TRUE(view.ghosts.empty());
+    ASSERT_EQ(view.num_local(), sub.graph.num_vertices());
+    for (std::uint32_t li = 0; li < view.num_local(); ++li) {
+      std::vector<graph::VertexId> nbrs;
+      for (auto e = view.adj_offsets[li]; e < view.adj_offsets[li + 1]; ++e) {
+        EXPECT_FALSE(view.adj[e].is_ghost());
+        nbrs.push_back(view.adj[e].index());
+      }
+      const auto want = sub.graph.neighbors(li);
+      EXPECT_EQ(nbrs, std::vector<graph::VertexId>(want.begin(), want.end()))
+          << "trial=" << trial << " li=" << li;
+    }
+  }
+}
+
+TEST(InducedView, RejectsUnsortedVerticesAndWrongIdCounts) {
+  const Graph g = graph::path_graph(5);
+  using Ids = std::vector<graph::VertexId>;
+  EXPECT_THROW((void)partition::induced_view(g, Ids{2, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)partition::induced_view(g, Ids{1, 1}),
+               std::invalid_argument);
+  EXPECT_THROW((void)partition::induced_view(g, Ids{0, 5}),
+               std::invalid_argument);
+  const Ids one{9};
+  EXPECT_THROW((void)partition::induced_view(g, Ids{0, 1}, one),
+               std::invalid_argument);
 }
 
 }  // namespace

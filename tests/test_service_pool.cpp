@@ -179,6 +179,14 @@ QueryResult reference_run(const graph::Graph& g, const QuerySpec& q) {
         out.vtime = r.vtime;
         break;
       }
+      case QueryType::kMotif: {
+        const auto r = core::midas_motif(g, part, q.colors, q.motif, opt, f);
+        out.found = r.found;
+        out.rounds_run = r.rounds_run;
+        out.found_round = r.found_round;
+        out.vtime = r.vtime;
+        break;
+      }
     }
   };
   if (q.field_bits == 8)
@@ -247,6 +255,67 @@ TEST(ServicePool, PooledPathBitIdenticalToFreshSpawnAcross120Queries) {
   const auto s = svc.stats();
   EXPECT_GT(s.pool_reuse, 0u);
   EXPECT_EQ(s.workers, 2);
+}
+
+TEST(ServicePool, PooledMotifBitIdenticalToFreshSpawn) {
+  // Motif queries on the pooled path, every (kernel, field width) pair:
+  // answers and the modeled makespan must equal a fresh spawn's.
+  DetectionService svc({.workers = 2, .queue_capacity = 64});
+  std::vector<graph::Graph> graphs;
+  for (int i = 0; i < 2; ++i) {
+    graphs.push_back(make_graph(i));
+    svc.add_graph(graph_name(i), make_graph(i));
+  }
+  Xoshiro256 rng(123);
+  std::vector<QuerySpec> specs;
+  int qi = 0;
+  for (const core::Kernel kernel :
+       {core::Kernel::kScalar, core::Kernel::kBitsliced})
+    for (const int bits : {4, 8})
+      for (int rep = 0; rep < 6; ++rep, ++qi) {
+        QuerySpec q;
+        q.type = QueryType::kMotif;
+        const int gi = static_cast<int>(rng.below(2));
+        q.graph = graph_name(gi);
+        q.k = 3 + static_cast<int>(rng.below(2));
+        q.field_bits = bits;
+        q.kernel = kernel;
+        q.seed = 50'000u + static_cast<std::uint64_t>(qi);
+        q.max_rounds = 2;
+        q.n1 = 2;
+        q.n_ranks = rng.below(2) == 0 ? 2 : 4;
+        q.n2 = 8;
+        // Three colors, every one present; the motif draws from them.
+        q.colors.resize(graphs[static_cast<std::size_t>(gi)].num_vertices());
+        for (std::size_t v = 0; v < q.colors.size(); ++v)
+          q.colors[v] = v < 3 ? static_cast<std::uint32_t>(v)
+                              : static_cast<std::uint32_t>(rng.below(3));
+        for (int s = 0; s < q.k; ++s)
+          q.motif.push_back(static_cast<std::uint32_t>(rng.below(3)));
+        specs.push_back(std::move(q));
+      }
+
+  std::vector<std::shared_future<QueryResult>> futs;
+  for (const auto& q : specs) futs.push_back(svc.submit(q));
+  svc.drain();
+
+  int found = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const QuerySpec& q = specs[i];
+    SCOPED_TRACE("query " + std::to_string(i) +
+                 " kernel=" + std::to_string(static_cast<int>(q.kernel)) +
+                 " l=" + std::to_string(q.field_bits));
+    const QueryResult got = futs[i].get();
+    const auto gi = static_cast<std::size_t>(q.graph[1] - '0');
+    const QueryResult want = reference_run(graphs[gi], q);
+    EXPECT_EQ(got.found, want.found);
+    EXPECT_EQ(got.rounds_run, want.rounds_run);
+    EXPECT_EQ(got.found_round, want.found_round);
+    EXPECT_EQ(got.vtime, want.vtime);  // bit-exact modeled makespan
+    found += got.found ? 1 : 0;
+  }
+  EXPECT_GT(found, 0);  // the comparison covers "yes" answers too
+  EXPECT_GT(svc.stats().pool_reuse, 0u);
 }
 
 TEST(ServicePool, ShardDispatchSpreadsAndIdleWorkersSteal) {
