@@ -234,7 +234,6 @@ struct Recurrence {
   // A nonzero round ends the query under opt.early_exit (the decision
   // engines); the table engines run every round.
   bool stops_on_found = true;
-  bool bitsliced = true;  // the recurrence has a bit-sliced phase body
 };
 
 /// What a phase-engine run leaves on the host: the result record and one
@@ -249,8 +248,7 @@ struct PhaseEngineRun {
 /// core/phase_bodies.hpp — runs once per rank on its seat: it builds the
 /// recurrence's per-rank state and calls rounds(begin_round, phase,
 /// phase_bs), which XOR phases into the rank's accumulator (a std::span of
-/// rec.acc_len values). A body passes ScalarOnly{} when the recurrence has
-/// no bit-sliced body (set rec.bitsliced = false).
+/// rec.acc_len values).
 ///
 /// The engine owns the rest: geometry checks, the schedule, the kernel
 /// choice, the checkpoint session, the wave loop and its spans, the
@@ -268,7 +266,7 @@ PhaseEngineRun run_phase_engine(const std::vector<partition::PartView>& views,
                   "N1 must divide N (phase groups need N/N1 whole replicas)");
   const Schedule sched =
       make_schedule(opt.k, opt.epsilon, opt.n_ranks, opt.n1, opt.n2);
-  const bool bitsliced = use_bitsliced(f, opt.kernel, rec.bitsliced);
+  const bool bitsliced = use_bitsliced(f, opt.kernel);
   const int rounds = opt.rounds();
   const std::size_t A = rec.acc_len;
   const bool stops = rec.stops_on_found && opt.early_exit;
@@ -911,9 +909,9 @@ struct MidasWeightedResult {
   int resumed_from_round = -1;    // snapshot round this run resumed at
 };
 
-/// Distributed maximum-weight k-path: the path DP with a weight dimension
-/// (paper Problem 3 part 2). Messages carry the whole weight axis, like
-/// the scan engine. Scalar-only: kernel=bitsliced is an options error.
+/// Distributed maximum-weight k-path: the k-path phase body at width
+/// max_weight_of + 1 (paper Problem 3 part 2). Messages carry the whole
+/// weight axis, one plane-native row per weight, like the scan engine.
 template <gf::GaloisField F>
 MidasWeightedResult midas_weighted_kpath(
     const graph::Graph& g, const partition::Partition& part,
@@ -935,12 +933,11 @@ MidasWeightedResult midas_weighted_kpath(
       .extra = runtime::fnv1a(
           std::as_bytes(std::span<const std::uint32_t>(weights))),
       .acc_len = width,
-      .stops_on_found = false,
-      .bitsliced = false};
+      .stops_on_found = false};
 
   auto run = detail::run_phase_engine(views, opt, f, rec, [&](
       const detail::PhaseRank& pr, auto&& rounds) {
-    detail::weighted_kpath_rank(pr, rounds, f, k, opt.seed, weights, width);
+    detail::kpath_rank(pr, rounds, f, k, opt.seed, nullptr, weights, width);
   });
 
   MidasWeightedResult result;

@@ -83,17 +83,13 @@ struct DetectResult {
 namespace detail {
 
 /// The kernel choice of every detector and engine: scalar vs bit-sliced
-/// for this (field, request) pair and a recurrence that has a bit-sliced
-/// body or not. kAuto takes the bit-sliced body wherever the field and the
-/// recurrence have one; an explicit bit-sliced request that cannot be met
-/// is an options error.
+/// for this (field, request) pair. kAuto takes the bit-sliced body wherever
+/// the field has bit planes; an explicit bit-sliced request that cannot be
+/// met is an options error.
 template <typename F>
-[[nodiscard]] inline bool use_bitsliced(const F& f, Kernel kernel,
-                                        bool has_bitsliced_body = true) {
-  require_options(has_bitsliced_body || kernel != Kernel::kBitsliced,
-                  "kernel=bitsliced: this recurrence has no bit-sliced body");
+[[nodiscard]] inline bool use_bitsliced(const F& f, Kernel kernel) {
   if constexpr (gf::Bitsliceable<F>) {
-    return has_bitsliced_body && kernel != Kernel::kScalar && f.bits() <= 16;
+    return kernel != Kernel::kScalar && f.bits() <= 16;
   } else {
     (void)f;
     require_options(kernel != Kernel::kBitsliced,

@@ -224,9 +224,9 @@ namespace detail {
 
 /// Exchange one DP level in the value layout: for each neighboring part,
 /// pack the batch-wide values of the boundary vertices, alltoallv within
-/// the phase group, and scatter incoming values into the ghost array. Used
-/// by fields without a bit-sliced kernel and by the scalar-only recurrences
-/// (weighted k-path, scan2d); the others go through halo_exchange_planes.
+/// the phase group, and scatter incoming values into the ghost array. The
+/// scalar halo's fallback for fields without bit planes (GF64, Z/2^e);
+/// every other exchange goes through halo_exchange_planes.
 template <typename V>
 void halo_exchange(runtime::Comm& comm, const partition::PartView& view,
                    const std::vector<V>& local_vals,
@@ -292,8 +292,8 @@ void unpack_plane_bits(W* planes, const std::uint64_t* bits, int l,
   }
 }
 
-/// Plane-native halo: the wire format of every recurrence that has a
-/// bit-sliced body, under both kernels (docs/ALGORITHM.md section 6). A
+/// Plane-native halo: the wire format of every recurrence over a field
+/// with bit planes, under both kernels (docs/ALGORITHM.md section 6). A
 /// vertex's halo value is `units` rows of `batch` lanes; for each row and
 /// each 64-lane wire block of it, the message carries the block's l
 /// bit-planes, each cut to its `lanes` live bits and packed back to back,
@@ -449,11 +449,10 @@ void accumulate_level(const F& f, const std::vector<typename F::value_type>& val
   for (std::size_t idx = 0; idx < count; ++idx) total = f.add(total, vals[idx]);
 }
 
-/// A rank's seat in a run: the graph part it owns and the three things a
-/// phase body needs from its rank — cost charges, the plane-native and the
-/// value-layout halo exchange. A seat without a Comm (the sequential
-/// one-part seat) charges nothing and exchanges nothing: its view has no
-/// ghosts.
+/// A rank's seat in a run: the graph part it owns and what a phase body
+/// needs from its rank — cost charges and each kernel's halo exchange. A
+/// seat without a Comm (the sequential one-part seat) charges nothing and
+/// exchanges nothing: its view has no ghosts.
 struct PhaseRank {
   runtime::Comm* world = nullptr;   // charges; null on the sequential seat
   runtime::Comm* group = nullptr;   // this rank's phase group (halos)
@@ -466,12 +465,6 @@ struct PhaseRank {
   }
   void charge_memory(std::uint64_t bytes, std::uint64_t working_set) const {
     if (world != nullptr) world->charge_memory(bytes, working_set);
-  }
-  /// Value-layout halo of `batch` values per vertex.
-  template <typename V>
-  void halo_values(const std::vector<V>& local, std::vector<V>& ghost,
-                   std::size_t batch) const {
-    if (group != nullptr) halo_exchange(*group, view, local, ghost, batch);
   }
   /// The scalar kernel's halo of `units` rows of `batch` lanes.
   template <gf::GaloisField F>
@@ -491,18 +484,13 @@ struct PhaseRank {
   }
 };
 
-/// Bit-sliced phase body of a recurrence that has none.
-struct ScalarOnly {};
-
 /// Evaluate one phase with the seat's kernel: the bit-sliced body when the
-/// seat has a BitslicedGF and the recurrence a bit-sliced body, else the
-/// scalar one.
+/// seat has a BitslicedGF, else the scalar one.
 template <gf::GaloisField F, typename Scalar, typename Sliced>
 void run_phase(const F& /*f*/, const gf::BitslicedGF* bs, Scalar& phase_scalar,
                Sliced& phase_bs, std::uint64_t q0, std::size_t batch,
                std::span<typename F::value_type> acc) {
-  if constexpr (gf::Bitsliceable<F> &&
-                !std::is_same_v<std::decay_t<Sliced>, ScalarOnly>) {
+  if constexpr (gf::Bitsliceable<F>) {
     if (bs != nullptr) {
       phase_bs(*bs, q0, batch, acc);
       return;
@@ -513,21 +501,43 @@ void run_phase(const F& /*f*/, const gf::BitslicedGF* bs, Scalar& phase_scalar,
 
 // ---------------------------------------------------------------------------
 // k-path (undirected and directed: the view's adjacency is the neighbours a
-// walk extends from — all of them, or the in-neighbours)
+// walk extends from — all of them, or the in-neighbours), with a weight axis
 // ---------------------------------------------------------------------------
 
-/// The walk DP: an N2-wide base case plus k-1 halo-exchanged levels. With
+/// The walk DP over `width` weight rows: P(i, j, z) sums walks of j
+/// vertices ending at i whose vertex weights total z. Vertex i's leaf sits
+/// at row w(i), and P(i, j, z) = r_{i,j} [v_i ⟂ t] sum_u P(u, j - 1,
+/// z - w(i)) for z >= w(i); rows below w(i) are zero. The accumulator holds
+/// one sum per row. k-path is width 1 with every weight 0 (an empty
+/// `weights`); the max-weight k-path (paper Problem 3 part 2) runs it at
+/// max_weight_of + 1. `weights` is indexed by the view's vertex ids. With
 /// `tables`, the per-round hashes come from the precomputed RandTables.
 template <gf::GaloisField F, typename Rounds>
 void kpath_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
-                std::uint64_t seed, const RandTables* tables = nullptr) {
+                std::uint64_t seed, const RandTables* tables = nullptr,
+                std::span<const std::uint32_t> weights = {},
+                std::uint32_t width = 1) {
   using V = typename F::value_type;
   const auto& view = pr.view;
   const std::uint32_t nl = view.num_local();
   const std::uint32_t ng = view.num_ghosts();
 
+  // wl[li]: vertex li's leaf row. level_ops: one level's logical work per
+  // lane — one add per adjacency entry and one gate/scale per vertex, on
+  // each row a vertex can reach (adj + nl at width 1).
+  std::vector<std::uint32_t> wl(nl, 0);
+  std::uint64_t level_ops = 0;
+  for (std::uint32_t li = 0; li < nl; ++li) {
+    if (!weights.empty()) wl[li] = weights[view.vertices[li]];
+    MIDAS_ASSERT(wl[li] < width, "vertex weight outside the weight axis");
+    level_ops += static_cast<std::uint64_t>(width - wl[li]) *
+                 (view.adj_offsets[li + 1] - view.adj_offsets[li] + 1);
+  }
+
   std::vector<std::uint32_t> v(nl);
   std::vector<V> r(static_cast<std::size_t>(k) * nl);
+  // Layout: (li * width + z) * batch + b, so a vertex's rows are one halo
+  // value of `width` units.
   std::vector<V> cur, next, ghost, scratch;
   std::vector<std::uint8_t> live_q;
 
@@ -541,28 +551,31 @@ void kpath_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
   std::vector<gf::BitslicedGF::Matrix> mats;
   if (pr.bs != nullptr) mats.resize(static_cast<std::size_t>(k - 1) * nl);
 
-  // One phase of the walk DP, XOR-accumulated into acc[0].
+  // Memory model: each level streams the local adjacency plus the active
+  // state arrays; the resident working set decides hot/cold.
+  auto working_set = [&](std::size_t batch) {
+    return view.adjacency_bytes() +
+           (static_cast<std::uint64_t>(nl) * 2 + ng) * width * batch *
+               sizeof(V) +
+           r.size() * sizeof(V);
+  };
+
+  // One phase of the walk DP, XOR-accumulated into acc[z].
   auto phase_scalar = [&](std::uint64_t q0, std::size_t batch,
                           std::span<V> acc) {
-    V& total = acc[0];
-    cur.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-    next.assign(static_cast<std::size_t>(nl) * batch, f.zero());
-    ghost.assign(static_cast<std::size_t>(ng) * batch, f.zero());
+    const std::size_t stride = static_cast<std::size_t>(width) * batch;
+    cur.assign(stride * nl, f.zero());
+    next.assign(stride * nl, f.zero());
+    ghost.assign(stride * ng, f.zero());
     scratch.assign(batch, f.zero());
     live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
-
-    // Memory model: each level streams the local adjacency plus the
-    // active state arrays; the resident working set decides hot/cold.
     const std::uint64_t adj_bytes = view.adjacency_bytes();
-    const std::uint64_t state_bytes =
-        (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
-    const std::uint64_t working_set =
-        adj_bytes + state_bytes + r.size() * sizeof(V);
+    const std::uint64_t ws = working_set(batch);
 
     // Base case P(i, q, 1); the liveness flags are per (vertex,
     // iteration), so compute them once and reuse across all k levels.
     for (std::uint32_t li = 0; li < nl; ++li) {
-      V* row = cur.data() + static_cast<std::size_t>(li) * batch;
+      V* row = cur.data() + li * stride + static_cast<std::size_t>(wl[li]) * batch;
       std::uint8_t* lq = live_q.data() + static_cast<std::size_t>(li) * batch;
       const V r1 = r[li];
       for (std::size_t b = 0; b < batch; ++b) {
@@ -575,60 +588,63 @@ void kpath_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
 
     // Inductive steps with one halo exchange per level.
     for (int j = 2; j <= k; ++j) {
-      pr.halo_scalar(f, 1, batch, cur, ghost);
+      pr.halo_scalar(f, width, batch, cur, ghost);
       const V* rj = r.data() + static_cast<std::size_t>(j - 1) * nl;
-      std::uint64_t ops = 0;
       for (std::uint32_t li = 0; li < nl; ++li) {
-        V* out = next.data() + static_cast<std::size_t>(li) * batch;
-        // Accumulate neighbor values lane-wise into the scratch row.
-        std::fill(scratch.begin(), scratch.end(), f.zero());
-        const auto begin = view.adj_offsets[li];
-        const auto end = view.adj_offsets[li + 1];
-        for (auto e = begin; e < end; ++e) {
-          const auto ref = view.adj[e];
-          const V* src =
-              ref.is_ghost()
-                  ? ghost.data() +
-                        static_cast<std::size_t>(ref.index()) * batch
-                  : cur.data() + static_cast<std::size_t>(ref.index()) * batch;
-          for (std::size_t b = 0; b < batch; ++b)
-            scratch[b] = f.add(scratch[b], src[b]);
-        }
-        ops += (end - begin) * batch;
-        // Gate by liveness, then scale the whole row by the level
-        // coefficient — one log lookup for the row via scale_add/axpy.
+        const std::uint32_t wi = wl[li];
+        V* out = next.data() + li * stride;
+        std::fill(out, out + static_cast<std::size_t>(wi) * batch, f.zero());
         const std::uint8_t* lq =
             live_q.data() + static_cast<std::size_t>(li) * batch;
-        for (std::size_t b = 0; b < batch; ++b)
-          if (!lq[b]) scratch[b] = f.zero();
-        std::fill(out, out + batch, f.zero());
-        gf::scale_add_row(f, out, rj[li], scratch.data(), batch);
-        ops += batch;
+        const auto begin = view.adj_offsets[li];
+        const auto end = view.adj_offsets[li + 1];
+        for (std::uint32_t z = wi; z < width; ++z) {
+          // Accumulate neighbor rows z - w(i) lane-wise into the scratch
+          // row.
+          std::fill(scratch.begin(), scratch.end(), f.zero());
+          for (auto e = begin; e < end; ++e) {
+            const auto ref = view.adj[e];
+            const V* src = (ref.is_ghost() ? ghost.data() : cur.data()) +
+                           static_cast<std::size_t>(ref.index()) * stride +
+                           static_cast<std::size_t>(z - wi) * batch;
+            for (std::size_t b = 0; b < batch; ++b)
+              scratch[b] = f.add(scratch[b], src[b]);
+          }
+          // Gate by liveness, then scale the whole row by the level
+          // coefficient — one log lookup for the row via scale_add/axpy.
+          for (std::size_t b = 0; b < batch; ++b)
+            if (!lq[b]) scratch[b] = f.zero();
+          V* row = out + static_cast<std::size_t>(z) * batch;
+          std::fill(row, row + batch, f.zero());
+          gf::scale_add_row(f, row, rj[li], scratch.data(), batch);
+        }
       }
-      pr.charge_compute(ops);
       // Kernel traffic: every adjacency entry pulls a batch-wide row of
       // neighbor state (random access), plus one pass over adjacency.
-      pr.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+      const std::uint64_t ops = level_ops * batch;
+      pr.charge_compute(ops);
+      pr.charge_memory(ops * sizeof(V) + adj_bytes, ws);
       std::swap(cur, next);
     }
-    accumulate_level(f, cur, static_cast<std::size_t>(nl) * batch, total);
+    for (std::uint32_t li = 0; li < nl; ++li)
+      for (std::uint32_t z = 0; z < width; ++z) {
+        const V* row = cur.data() + li * stride +
+                       static_cast<std::size_t>(z) * batch;
+        for (std::size_t b = 0; b < batch; ++b) acc[z] = f.add(acc[z], row[b]);
+      }
     pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
   };
 
-  // The same phase, bit-sliced: blocks of W-bit planes per vertex (W the
-  // narrowest of 8/16/32 lanes holding the batch, else ceil(batch/64)
-  // 64-lane blocks), liveness as parity masks, constant scaling as plane
-  // matrices. Generic lambda so the body only instantiates for
-  // Bitsliceable fields.
+  // The same phase, bit-sliced: blocks of W-bit planes per (vertex, row)
+  // (W the narrowest of 8/16/32 lanes holding the batch, else
+  // ceil(batch/64) 64-lane blocks), liveness as parity masks, constant
+  // scaling as plane matrices. Generic lambda so the body only
+  // instantiates for Bitsliceable fields.
   auto phase_bs = [&](const auto& bs, std::uint64_t q0, std::size_t batch,
                       std::span<V> acc) {
-    V& total = acc[0];
     using BS = gf::BitslicedGF;
     const std::uint64_t adj_bytes = view.adjacency_bytes();
-    const std::uint64_t state_bytes =
-        (static_cast<std::uint64_t>(nl) * 2 + ng) * batch * sizeof(V);
-    const std::uint64_t working_set =
-        adj_bytes + state_bytes + r.size() * sizeof(V);
+    const std::uint64_t ws = working_set(batch);
 
     // (plane word, plane count) are compile-time from here.
     gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
@@ -636,70 +652,76 @@ void kpath_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
       constexpr int LC = decltype(lc)::value;
       constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
       const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
-      const std::size_t wpv = nblocks * LC;
+      const std::size_t wpv = nblocks * LC;             // one row
+      const std::size_t wrow = width * wpv;             // one vertex
       auto& bcur = bcur_w.get<W>();
       auto& bnext = bnext_w.get<W>();
       auto& bghost = bghost_w.get<W>();
       auto& blive = blive_w.get<W>();
       // Every local block is written before it is read: no zero fill.
-      bcur.resize(static_cast<std::size_t>(nl) * wpv);
-      bnext.resize(static_cast<std::size_t>(nl) * wpv);
-      bghost.assign(static_cast<std::size_t>(ng) * wpv, 0);
+      bcur.resize(static_cast<std::size_t>(nl) * wrow);
+      bnext.resize(static_cast<std::size_t>(nl) * wrow);
+      bghost.assign(static_cast<std::size_t>(ng) * wrow, 0);
       blive.resize(static_cast<std::size_t>(nl) * nblocks);
 
       // Base case: one parity mask per (vertex, block), level-1
-      // coefficient broadcast into the live lanes.
+      // coefficient broadcast into the live lanes of row w(i).
       for (std::uint32_t li = 0; li < nl; ++li)
         for (std::size_t blk = 0; blk < nblocks; ++blk) {
           const W m = BS::live_mask<W>(
               v[li], q0 + blk * kLanes,
               static_cast<int>(std::min(kLanes, batch - blk * kLanes)));
           blive[static_cast<std::size_t>(li) * nblocks + blk] = m;
-          BS::broadcast_w<LC>(
-              &bcur[static_cast<std::size_t>(li) * wpv + blk * LC],
-              static_cast<BS::value_type>(r[li]), m);
+          for (std::uint32_t z = 0; z < width; ++z) {
+            W* dst = &bcur[li * wrow + z * wpv + blk * LC];
+            if (z == wl[li])
+              BS::broadcast_w<LC>(dst, static_cast<BS::value_type>(r[li]), m);
+            else
+              BS::clear_w<LC>(dst);
+          }
         }
       pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
 
       for (int j = 2; j <= k; ++j) {
-        pr.halo_planes(bs, 1, batch, bcur, bghost);
+        pr.halo_planes(bs, width, batch, bcur, bghost);
         const BS::Matrix* mj =
             mats.data() + static_cast<std::size_t>(j - 2) * nl;
         for (std::uint32_t li = 0; li < nl; ++li) {
+          const std::uint32_t wi = wl[li];
           const auto begin = view.adj_offsets[li];
           const auto end = view.adj_offsets[li + 1];
           for (std::size_t blk = 0; blk < nblocks; ++blk) {
-            W* out = &bnext[static_cast<std::size_t>(li) * wpv + blk * LC];
             const W m = blive[static_cast<std::size_t>(li) * nblocks + blk];
-            if (m == 0) {
-              BS::clear_w<LC>(out);
-              continue;
+            for (std::uint32_t z = 0; z < width; ++z) {
+              W* out = &bnext[li * wrow + z * wpv + blk * LC];
+              if (m == 0 || z < wi) {
+                BS::clear_w<LC>(out);
+                continue;
+              }
+              const std::size_t off = (z - wi) * wpv + blk * LC;
+              W acc_w[LC] = {};
+              for (auto e = begin; e < end; ++e) {
+                const auto ref = view.adj[e];
+                const W* src = ref.is_ghost()
+                                   ? &bghost[ref.index() * wrow + off]
+                                   : &bcur[ref.index() * wrow + off];
+                BS::add_into_w<LC>(acc_w, src);
+              }
+              BS::mul_matrix_masked_w<LC>(out, mj[li], acc_w, m);
             }
-            W acc_w[LC] = {};
-            for (auto e = begin; e < end; ++e) {
-              const auto ref = view.adj[e];
-              const W* src =
-                  ref.is_ghost()
-                      ? &bghost[static_cast<std::size_t>(ref.index()) * wpv +
-                                blk * LC]
-                      : &bcur[static_cast<std::size_t>(ref.index()) * wpv +
-                              blk * LC];
-              BS::add_into_w<LC>(acc_w, src);
-            }
-            BS::mul_matrix_masked_w<LC>(out, mj[li], acc_w, m);
           }
         }
-        // Charge the same logical work as the scalar kernel: one add per
-        // adjacency entry per lane, one gate/scale per vertex-lane.
-        const std::uint64_t ops =
-            (view.adj.size() + nl) * static_cast<std::uint64_t>(batch);
+        // Charge the same logical work as the scalar kernel.
+        const std::uint64_t ops = level_ops * batch;
         pr.charge_compute(ops);
-        pr.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+        pr.charge_memory(ops * sizeof(V) + adj_bytes, ws);
         std::swap(bcur, bnext);
       }
-      for (std::size_t blk = 0; blk < nblocks; ++blk)
-        total = f.add(total, static_cast<V>(gf::fold_xor_rows<LC>(
-                                 bcur.data() + blk * LC, nl, wpv)));
+      for (std::uint32_t z = 0; z < width; ++z)
+        for (std::size_t blk = 0; blk < nblocks; ++blk)
+          acc[z] = f.add(acc[z], static_cast<V>(gf::fold_xor_rows<LC>(
+                                     bcur.data() + z * wpv + blk * LC, nl,
+                                     wrow)));
     });
     pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
   };
@@ -945,33 +967,52 @@ void ktree_rank(const PhaseRank& pr, Rounds&& rounds, const F& f,
 }
 
 // ---------------------------------------------------------------------------
-// Scan statistics (paper Algorithm 5)
+// Scan statistics (paper Algorithm 5 and the full Problem 2)
 // ---------------------------------------------------------------------------
 
-/// The (size, weight) DP: P(i, 1, w(i)) = c_i [v_i ⟂ t] and P(i, j, z) =
-/// sum_u sigma_{i,u,j} sum_{j1, z1} P(i, j1, z1) P(u, j - j1, z - z1). The
-/// accumulator holds one sum per (j, z): acc[j * width + z]. Size-j sums
-/// only fold iterations q < 2^j: degree-j detection lives in the
-/// 2^j-element subgroup, and summing a degree-j term over all 2^k
+/// The (size, baseline, weight) DP over cells (y, z), y < bw, z < ww:
+/// P(i, 1, b(i), w(i)) = c_i [v_i ⟂ t] and P(i, j, y, z) = sum_u
+/// sigma_{i,u,j} sum_{j1, y1, z1} P(i, j1, y1, z1) P(u, j - j1, y - y1,
+/// z - z1), so a pair of cells combines only while y1 + y2 < bw and
+/// z1 + z2 < ww. A vertex whose baseline alone reaches bw has no leaf. The
+/// accumulator holds one sum per (j, cell): acc[(j * bw + y) * ww + z].
+/// Size-j sums only fold iterations q < 2^j: degree-j detection lives in
+/// the 2^j-element subgroup, and summing a degree-j term over all 2^k
 /// iterations counts it 2^{k-rank} times with rank <= j < k — always even,
 /// so every size below k would cancel. For q < 2^j the inner products
 /// <v_i, q> see exactly the low j bits of v_i: degree-j detection with
-/// j-dimensional vectors at no extra cost. `weights` is indexed by the
-/// view's vertex ids; `width` is one past the table's weight bound.
+/// j-dimensional vectors at no extra cost. Algorithm 5 is bw = 1 with
+/// every baseline 0 (an empty `baselines`); the heterogeneous-baseline
+/// scan (core/scan2d.hpp) runs bw = max_baseline + 1. `weights` and
+/// `baselines` are indexed by the view's vertex ids.
 template <gf::GaloisField F, typename Rounds>
 void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
-               std::uint64_t seed, const std::vector<std::uint32_t>& weights,
-               std::uint32_t width) {
+               std::uint64_t seed, std::span<const std::uint32_t> weights,
+               std::uint32_t ww, std::span<const std::uint32_t> baselines = {},
+               std::uint32_t bw = 1) {
   using V = typename F::value_type;
   const auto& view = pr.view;
   const std::uint32_t nl = view.num_local();
   const std::uint32_t ng = view.num_ghosts();
+  const std::uint32_t cells = bw * ww;
+  // Logical work of one (edge, j1) step: one lane-wise multiply per
+  // combining pair of cells.
+  const std::uint64_t pairs = static_cast<std::uint64_t>(bw) * (bw + 1) / 2 *
+                              (static_cast<std::uint64_t>(ww) * (ww + 1) / 2);
+
+  // leaf[li]: vertex li's leaf cell, or `cells` when it has none.
+  std::vector<std::uint32_t> leaf(nl);
+  for (std::uint32_t li = 0; li < nl; ++li) {
+    const graph::VertexId gid = view.vertices[li];
+    const std::uint32_t y = baselines.empty() ? 0 : baselines[gid];
+    leaf[li] = y < bw ? y * ww + weights[gid] : cells;
+  }
 
   int round = 0;
   std::vector<std::uint32_t> v(nl);
-  // vals[j][(li * width + z) * batch + b] — vertex-major so that one
-  // vertex's whole (weight x batch) block is a contiguous message payload;
-  // ghost mirrors the layout with ghost indices.
+  // vals[j][(li * cells + y * ww + z) * batch + b] — vertex-major so that
+  // one vertex's whole cell block is a contiguous message payload; ghost
+  // mirrors the layout with ghost indices.
   std::vector<std::vector<V>> vals(static_cast<std::size_t>(k) + 1);
   std::vector<std::vector<V>> ghost(static_cast<std::size_t>(k) + 1);
   std::vector<V> scratch;
@@ -979,45 +1020,46 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
   // every phase.
   std::vector<V> c1(nl);
 
-  // Bit-sliced state: per-layer plane arrays with the same (vertex,
-  // weight) nesting; halos are plane-native under both kernels, one row
-  // per weight.
+  // Bit-sliced state: per-layer plane arrays with the same (vertex, cell)
+  // nesting; halos are plane-native under both kernels, one row per cell.
   gf::detail_bs::PerWord<gf::detail_bs::PlaneRows> bvals_w, bghost_w;
   gf::detail_bs::PerWord<detail_fold::LayeredFold> fold_w;
 
+  auto working_set = [&](std::size_t batch) {
+    return view.adjacency_bytes() + static_cast<std::uint64_t>(k) *
+                                        (nl + ng) * cells * batch * sizeof(V);
+  };
+
   auto phase_scalar = [&](std::uint64_t q0, std::size_t batch,
                           std::span<V> accum) {
+    const std::size_t stride = static_cast<std::size_t>(cells) * batch;
     for (int j = 1; j <= k; ++j) {
-      vals[static_cast<std::size_t>(j)].assign(
-          static_cast<std::size_t>(width) * nl * batch, f.zero());
-      ghost[static_cast<std::size_t>(j)].assign(
-          static_cast<std::size_t>(width) * ng * batch, f.zero());
+      vals[static_cast<std::size_t>(j)].assign(stride * nl, f.zero());
+      ghost[static_cast<std::size_t>(j)].assign(stride * ng, f.zero());
     }
     scratch.assign(batch, f.zero());
     const std::uint64_t adj_bytes = view.adjacency_bytes();
-    const std::uint64_t working_set =
-        adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * width *
-                        batch * sizeof(V);
+    const std::uint64_t ws = working_set(batch);
 
     // Base case.
     auto& base = vals[1];
     for (std::uint32_t li = 0; li < nl; ++li) {
-      const graph::VertexId gid = view.vertices[li];
-      V* row = base.data() +
-               (static_cast<std::size_t>(li) * width + weights[gid]) * batch;
+      if (leaf[li] == cells) continue;
+      V* row = base.data() + li * stride +
+               static_cast<std::size_t>(leaf[li]) * batch;
       for (std::size_t b = 0; b < batch; ++b) {
         const auto q = static_cast<std::uint32_t>(q0 + b);
         row[b] = inner_product_odd(v[li], q) ? f.zero() : c1[li];
       }
     }
     pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-    pr.halo_scalar(f, width, batch, vals[1], ghost[1]);
+    pr.halo_scalar(f, cells, batch, vals[1], ghost[1]);
 
     for (int j = 2; j <= k; ++j) {
       auto& out = vals[static_cast<std::size_t>(j)];
-      std::uint64_t ops = 0;
       for (std::uint32_t li = 0; li < nl; ++li) {
         const graph::VertexId gid = view.vertices[li];
+        V* out_vertex = out.data() + li * stride;
         const auto begin = view.adj_offsets[li];
         const auto end = view.adj_offsets[li + 1];
         for (auto e = begin; e < end; ++e) {
@@ -1029,53 +1071,59 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
           const V sig = sigma_coeff(f, seed, round, gid, u_gid,
                                     static_cast<std::uint32_t>(j));
           for (int j1 = 1; j1 <= j - 1; ++j1) {
-            const auto& own = vals[static_cast<std::size_t>(j1)];
-            const auto& oth_local = vals[static_cast<std::size_t>(j - j1)];
-            const auto& oth_ghost = ghost[static_cast<std::size_t>(j - j1)];
-            const V* oth_vertex =
-                (is_ghost ? oth_ghost.data() : oth_local.data()) +
-                static_cast<std::size_t>(idx) * width * batch;
             const V* own_vertex =
-                own.data() + static_cast<std::size_t>(li) * width * batch;
-            V* out_vertex =
-                out.data() + static_cast<std::size_t>(li) * width * batch;
-            for (std::uint32_t z = 0; z < width; ++z) {
-              V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-              // Convolve into a scratch row, then fold it in with a single
-              // row-wide scale by sig (one log lookup).
-              std::fill(scratch.begin(), scratch.end(), f.zero());
-              for (std::uint32_t z1 = 0; z1 <= z; ++z1) {
-                const V* a = own_vertex + static_cast<std::size_t>(z1) * batch;
-                const V* bvals =
-                    oth_vertex + static_cast<std::size_t>(z - z1) * batch;
-                gf::mul_add_rows(f, scratch.data(), a, bvals, batch);
+                vals[static_cast<std::size_t>(j1)].data() + li * stride;
+            const V* oth_vertex =
+                (is_ghost ? ghost[static_cast<std::size_t>(j - j1)]
+                          : vals[static_cast<std::size_t>(j - j1)])
+                    .data() +
+                idx * stride;
+            for (std::uint32_t y = 0; y < bw; ++y)
+              for (std::uint32_t z = 0; z < ww; ++z) {
+                // Convolve into a scratch row, then fold it in with a
+                // single row-wide scale by sig (one log lookup).
+                std::fill(scratch.begin(), scratch.end(), f.zero());
+                for (std::uint32_t y1 = 0; y1 <= y; ++y1) {
+                  const V* a = own_vertex +
+                               static_cast<std::size_t>(y1) * ww * batch;
+                  const V* c = oth_vertex +
+                               static_cast<std::size_t>(y - y1) * ww * batch;
+                  for (std::uint32_t z1 = 0; z1 <= z; ++z1)
+                    gf::mul_add_rows(
+                        f, scratch.data(),
+                        a + static_cast<std::size_t>(z1) * batch,
+                        c + static_cast<std::size_t>(z - z1) * batch, batch);
+                }
+                gf::scale_add_row(
+                    f, out_vertex + (static_cast<std::size_t>(y) * ww + z) *
+                                        batch,
+                    sig, scratch.data(), batch);
               }
-              gf::scale_add_row(f, row, sig, scratch.data(), batch);
-              ops += static_cast<std::uint64_t>(z + 1) * batch;
-            }
           }
         }
       }
+      const std::uint64_t ops = view.adj.size() *
+                                static_cast<std::uint64_t>(j - 1) * pairs *
+                                batch;
       pr.charge_compute(ops);
-      pr.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+      pr.charge_memory(ops * sizeof(V) + adj_bytes, ws);
       if (j < k)
-        pr.halo_scalar(f, width, batch, vals[static_cast<std::size_t>(j)],
+        pr.halo_scalar(f, cells, batch, vals[static_cast<std::size_t>(j)],
                        ghost[static_cast<std::size_t>(j)]);
     }
-    // Accumulate per-(j,z) sums over the lanes q < 2^j.
+    // Accumulate per-(j, cell) sums over the lanes q < 2^j.
     for (int j = 1; j <= k; ++j) {
       const std::uint64_t jlimit = std::uint64_t{1} << j;
       if (q0 >= jlimit) continue;
       const std::size_t bmax = std::min<std::uint64_t>(batch, jlimit - q0);
       const auto& layer = vals[static_cast<std::size_t>(j)];
-      V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
+      V* acc_row = accum.data() + static_cast<std::size_t>(j) * cells;
       for (std::uint32_t li = 0; li < nl; ++li) {
-        const V* vertex_block =
-            layer.data() + static_cast<std::size_t>(li) * width * batch;
-        for (std::uint32_t z = 0; z < width; ++z) {
-          const V* row = vertex_block + static_cast<std::size_t>(z) * batch;
+        const V* vertex_block = layer.data() + li * stride;
+        for (std::uint32_t c = 0; c < cells; ++c) {
+          const V* row = vertex_block + static_cast<std::size_t>(c) * batch;
           for (std::size_t b = 0; b < bmax; ++b)
-            acc_row[z] = f.add(acc_row[z], row[b]);
+            acc_row[c] = f.add(acc_row[c], row[b]);
         }
       }
     }
@@ -1084,8 +1132,8 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
 
   // The same phase, bit-sliced, folded neighbour-first at fixed width
   // (core/layered_fold.hpp). Per edge, one sigma matrix apply per non-zero
-  // neighbour block builds N[j1][z'] = sum_u sigma * b_u[j - j1][z']; per
-  // vertex, the weight convolution out[z] ^= a_v[j1][z1] * N[j1][z - z1]
+  // neighbour block builds N[j1][c'] = sum_u sigma * b_u[j - j1][c']; per
+  // vertex, the cell convolution out[c] ^= a_v[j1][c1] * N[j1][c - c1]
   // pays the lane-wise multiplies once instead of once per edge. The
   // scalar kernel's per-edge order regroups into this exactly by
   // distributivity. Charges and halo bytes mirror the scalar kernel
@@ -1094,9 +1142,7 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
                       std::span<V> accum) {
     using BS = gf::BitslicedGF;
     const std::uint64_t adj_bytes = view.adjacency_bytes();
-    const std::uint64_t working_set =
-        adj_bytes + static_cast<std::uint64_t>(k) * (nl + ng) * width *
-                        batch * sizeof(V);
+    const std::uint64_t ws = working_set(batch);
 
     gf::detail_bs::dispatch_block(batch, f, [&](auto wt, auto lc) {
       using W = typename decltype(wt)::type;
@@ -1104,7 +1150,7 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
       constexpr std::size_t kLanes = gf::detail_bs::kLanesOf<W>;
       const std::size_t nblocks = (batch + kLanes - 1) / kLanes;
       const std::size_t wpv = nblocks * LC;
-      const std::size_t wrow = static_cast<std::size_t>(width) * wpv;
+      const std::size_t wrow = static_cast<std::size_t>(cells) * wpv;
       auto& bvals = bvals_w.get<W>();
       auto& bghost = bghost_w.get<W>();
       auto& fold = fold_w.get<W>();
@@ -1118,29 +1164,28 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
       }
 
       // Base case: liveness parity masks, coefficient broadcast at the
-      // vertex's own weight.
+      // vertex's own cell.
       auto& base = bvals[1];
       for (std::uint32_t li = 0; li < nl; ++li) {
-        const graph::VertexId gid = view.vertices[li];
+        if (leaf[li] == cells) continue;
         for (std::size_t blk = 0; blk < nblocks; ++blk)
           BS::broadcast_w<LC>(
-              &base[static_cast<std::size_t>(li) * wrow +
-                    weights[gid] * wpv + blk * LC],
+              &base[li * wrow + leaf[li] * wpv + blk * LC],
               static_cast<BS::value_type>(c1[li]),
               BS::live_mask<W>(v[li], q0 + blk * kLanes,
                                static_cast<int>(std::min(
                                    kLanes, batch - blk * kLanes))));
       }
       pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-      // Each boundary vertex ships its whole (weight x batch) block, one
-      // plane-native row per weight.
-      pr.halo_planes(bs, width, batch, bvals[1], bghost[1]);
+      // Each boundary vertex ships its whole cell block, one plane-native
+      // row per cell.
+      pr.halo_planes(bs, cells, batch, bvals[1], bghost[1]);
 
       for (int j = 2; j <= k; ++j) {
         auto& out = bvals[static_cast<std::size_t>(j)];
-        fold.level(j, width, nblocks, wpv, LC);
+        fold.level(j, bw, ww, nblocks, wpv, LC);
         for (std::uint32_t li = 0; li < nl; ++li) {
-          const std::size_t row = static_cast<std::size_t>(li) * wrow;
+          const std::size_t row = li * wrow;
           if (!fold.template vertex<LC>([&](int j1) {
                 return bvals[static_cast<std::size_t>(j1)].data() + row;
               }))
@@ -1161,36 +1206,36 @@ void scan_rank(const PhaseRank& pr, Rounds&& rounds, const F& f, int k,
               const auto& layer = is_ghost
                                       ? bghost[static_cast<std::size_t>(j2)]
                                       : bvals[static_cast<std::size_t>(j2)];
-              return layer.data() + static_cast<std::size_t>(idx) * wrow;
+              return layer.data() + idx * wrow;
             });
           }
           fold.template finish<LC>(bs, out.data() + row);
         }
-        // Same logical work as the scalar kernel's (edge, j1, z, z1)
-        // sweep, in closed form.
-        const std::uint64_t ops =
-            view.adj.size() * static_cast<std::uint64_t>(j - 1) *
-            (static_cast<std::uint64_t>(width) * (width + 1) / 2) * batch;
+        // Same logical work as the scalar kernel's (edge, j1, cell pair)
+        // sweep.
+        const std::uint64_t ops = view.adj.size() *
+                                  static_cast<std::uint64_t>(j - 1) * pairs *
+                                  batch;
         pr.charge_compute(ops);
-        pr.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
+        pr.charge_memory(ops * sizeof(V) + adj_bytes, ws);
         if (j < k)
-          pr.halo_planes(bs, width, batch, bvals[static_cast<std::size_t>(j)],
+          pr.halo_planes(bs, cells, batch, bvals[static_cast<std::size_t>(j)],
                          bghost[static_cast<std::size_t>(j)]);
       }
-      // Accumulate per-(j,z) sums with the same q < 2^j lane cutoff.
+      // Accumulate per-(j, cell) sums with the same q < 2^j lane cutoff.
       for (int j = 1; j <= k; ++j) {
         const std::uint64_t jlimit = std::uint64_t{1} << j;
         if (q0 >= jlimit) continue;
         const std::size_t bmax = std::min<std::uint64_t>(batch, jlimit - q0);
         const auto& layer = bvals[static_cast<std::size_t>(j)];
-        V* acc_row = accum.data() + static_cast<std::size_t>(j) * width;
-        for (std::uint32_t z = 0; z < width; ++z)
+        V* acc_row = accum.data() + static_cast<std::size_t>(j) * cells;
+        for (std::uint32_t c = 0; c < cells; ++c)
           for (std::size_t blk = 0; blk * kLanes < bmax; ++blk) {
             const auto m = static_cast<W>(gf::detail_bs::low_lanes(
                 static_cast<int>(std::min(kLanes, bmax - blk * kLanes))));
-            acc_row[z] = f.add(
-                acc_row[z], static_cast<V>(gf::fold_xor_rows<LC>(
-                                layer.data() + z * wpv + blk * LC, nl, wrow,
+            acc_row[c] = f.add(
+                acc_row[c], static_cast<V>(gf::fold_xor_rows<LC>(
+                                layer.data() + c * wpv + blk * LC, nl, wrow,
                                 m)));
           }
       }
@@ -1362,7 +1407,7 @@ void motif_rank(const PhaseRank& pr, Rounds&& rounds, const F& f,
 
       for (int j = 2; j <= k; ++j) {
         auto& out = bvals[static_cast<std::size_t>(j)];
-        fold.level(j, 1, nblocks, 0, LC);
+        fold.level(j, 1, 1, nblocks, 0, LC);
         for (std::uint32_t li = 0; li < nl; ++li) {
           const std::size_t row = static_cast<std::size_t>(li) * wpv;
           if (!fold.template vertex<LC>([&](int j1) {
@@ -1425,117 +1470,6 @@ void motif_rank(const PhaseRank& pr, Rounds&& rounds, const F& f,
     }
   };
   rounds(begin_round, phase_scalar, phase_bs);
-}
-
-// ---------------------------------------------------------------------------
-// Weighted k-path (max-weight variant); scalar only
-// ---------------------------------------------------------------------------
-
-/// The path DP with a weight axis (paper Problem 3 part 2): P(i, j, z) sums
-/// walks of j vertices ending at i whose weights total z. The accumulator
-/// is the width-wide feasibility row; `weights` is indexed by the view's
-/// vertex ids. Messages carry the whole weight axis, like scan's.
-template <gf::GaloisField F, typename Rounds>
-void weighted_kpath_rank(const PhaseRank& pr, Rounds&& rounds, const F& f,
-                         int k, std::uint64_t seed,
-                         const std::vector<std::uint32_t>& weights,
-                         std::uint32_t width) {
-  using V = typename F::value_type;
-  const auto& view = pr.view;
-  const std::uint32_t nl = view.num_local();
-  const std::uint32_t ng = view.num_ghosts();
-
-  std::vector<std::uint32_t> v(nl);
-  // r[(j - 1) * nl + li]: level-j coefficient, hashed once per round.
-  std::vector<V> r(static_cast<std::size_t>(k) * nl);
-  // Layout: (li * width + z) * batch + b (vertex-major, as in scan).
-  std::vector<V> cur, next, ghost, scratch;
-  std::vector<std::uint8_t> live_q;
-
-  auto phase = [&](std::uint64_t q0, std::size_t batch, std::span<V> accum) {
-    const std::size_t stride = static_cast<std::size_t>(width) * batch;
-    cur.assign(stride * nl, f.zero());
-    next.assign(stride * nl, f.zero());
-    ghost.assign(stride * ng, f.zero());
-    scratch.assign(batch, f.zero());
-    live_q.assign(static_cast<std::size_t>(nl) * batch, 0);
-    const std::uint64_t adj_bytes = view.adjacency_bytes();
-    const std::uint64_t working_set =
-        adj_bytes + (stride * nl + stride * ng) * sizeof(V);
-
-    // Liveness is per (vertex, iteration): compute it once per phase and
-    // reuse across every level and weight row.
-    for (std::uint32_t li = 0; li < nl; ++li) {
-      const graph::VertexId gid = view.vertices[li];
-      const V coeff = r[li];
-      V* row = cur.data() + li * stride +
-               static_cast<std::size_t>(weights[gid]) * batch;
-      std::uint8_t* lq = live_q.data() + static_cast<std::size_t>(li) * batch;
-      for (std::size_t b = 0; b < batch; ++b) {
-        const auto q = static_cast<std::uint32_t>(q0 + b);
-        lq[b] = inner_product_odd(v[li], q) ? 0 : 1;
-        row[b] = lq[b] ? coeff : f.zero();
-      }
-    }
-    pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-
-    for (int j = 2; j <= k; ++j) {
-      pr.halo_values(cur, ghost, batch * width);
-      std::fill(next.begin(), next.end(), f.zero());
-      std::uint64_t ops = 0;
-      for (std::uint32_t li = 0; li < nl; ++li) {
-        const std::uint32_t wi = weights[view.vertices[li]];
-        const V rj = r[static_cast<std::size_t>(j - 1) * nl + li];
-        V* out_vertex = next.data() + li * stride;
-        const std::uint8_t* lq =
-            live_q.data() + static_cast<std::size_t>(li) * batch;
-        const auto begin = view.adj_offsets[li];
-        const auto end = view.adj_offsets[li + 1];
-        for (std::uint32_t z = wi; z < width; ++z) {
-          V* row = out_vertex + static_cast<std::size_t>(z) * batch;
-          // Neighbor fold into scratch, gate by liveness, then one
-          // row-wide scale by the level coefficient.
-          std::fill(scratch.begin(), scratch.end(), f.zero());
-          for (auto e = begin; e < end; ++e) {
-            const auto ref = view.adj[e];
-            const V* src = (ref.is_ghost() ? ghost.data() : cur.data()) +
-                           static_cast<std::size_t>(ref.index()) * stride +
-                           static_cast<std::size_t>(z - wi) * batch;
-            for (std::size_t b = 0; b < batch; ++b)
-              scratch[b] = f.add(scratch[b], src[b]);
-          }
-          ops += (end - begin) * batch;
-          for (std::size_t b = 0; b < batch; ++b)
-            if (!lq[b]) scratch[b] = f.zero();
-          gf::scale_add_row(f, row, rj, scratch.data(), batch);
-          ops += batch;
-        }
-      }
-      pr.charge_compute(ops);
-      pr.charge_memory(ops * sizeof(V) + adj_bytes, working_set);
-      std::swap(cur, next);
-    }
-    for (std::uint32_t li = 0; li < nl; ++li) {
-      const V* vertex_block = cur.data() + li * stride;
-      for (std::uint32_t z = 0; z < width; ++z) {
-        const V* row = vertex_block + static_cast<std::size_t>(z) * batch;
-        for (std::size_t b = 0; b < batch; ++b)
-          accum[z] = f.add(accum[z], row[b]);
-      }
-    }
-    pr.charge_compute(static_cast<std::uint64_t>(nl) * batch);
-  };
-
-  auto begin_round = [&](int round) {
-    for (std::uint32_t li = 0; li < nl; ++li) {
-      const graph::VertexId gid = view.vertices[li];
-      v[li] = v_vector(seed, round, gid, k);
-      for (int j = 1; j <= k; ++j)
-        r[static_cast<std::size_t>(j - 1) * nl + li] = field_coeff(
-            f, seed, round, gid, static_cast<std::uint32_t>(j));
-    }
-  };
-  rounds(begin_round, phase, ScalarOnly{});
 }
 
 }  // namespace detail

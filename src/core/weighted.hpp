@@ -2,11 +2,11 @@
 // multilinear term" — and the weighted k-path variant mentioned under
 // Problem 1).
 //
-// The path polynomial is augmented with a weight dimension, exactly like
-// the scan-statistics DP but with the path's linear structure: P(i, j, z)
-// sums walks of length j ending at i whose vertex weights total z. The
-// maximum z with a surviving degree-k multilinear term is the maximum
-// weight of a simple k-path, with the usual one-sided error.
+// The path polynomial is augmented with a weight axis — the k-path phase
+// body (detail::kpath_rank) at width > 1: P(i, j, z) sums walks of length
+// j ending at i whose vertex weights total z. The maximum z with a
+// surviving degree-k multilinear term is the maximum weight of a simple
+// k-path, with the usual one-sided error.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,9 @@ struct WeightedPathResult {
 
 /// Detect the achievable (and maximum) total vertex weight over simple
 /// k-vertex paths. Weights must be small integers (use scan::round_weights
-/// for real-valued inputs). Runs the weighted k-path phase body
-/// (detail::weighted_kpath_rank, shared with midas_weighted_kpath) on the
-/// one-part view of g, every round (no early exit).
+/// for real-valued inputs). Runs the k-path phase body (detail::kpath_rank)
+/// at width max_weight_of + 1 — the body midas_weighted_kpath runs — on the
+/// one-part view of g, every round (no early exit), with opt.kernel.
 template <gf::GaloisField F>
 WeightedPathResult max_weight_kpath_seq(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights, int k,
@@ -48,15 +48,15 @@ WeightedPathResult max_weight_kpath_seq(
 
   (void)detail::run_sequential(
       detail_seq::whole_view(g, {}), f, k, opt.rounds(),
-      /*bitsliced=*/false, width,
+      detail::use_bitsliced(f, opt.kernel), width,
       [&](int, auto acc) {
         for (std::uint32_t z = 0; z < width; ++z)
           if (acc[z] != 0) res.feasible_weight[z] = true;
         return false;
       },
       [&](const detail::PhaseRank& pr, auto&& rounds) {
-        detail::weighted_kpath_rank(pr, rounds, f, k, opt.seed, weights,
-                                    width);
+        detail::kpath_rank(pr, rounds, f, k, opt.seed, nullptr, weights,
+                           width);
       });
   for (std::uint32_t z = 0; z < width; ++z)
     if (res.feasible_weight[z]) res.max_weight = z;

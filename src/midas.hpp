@@ -30,7 +30,6 @@
 // Multilinear detection: sequential, distributed, generic circuits,
 // directed graphs, weighted paths, witnesses.
 #include "core/circuit.hpp"
-#include "core/counting.hpp"
 #include "core/detect_directed.hpp"
 #include "core/detect_par.hpp"
 #include "core/detect_seq.hpp"

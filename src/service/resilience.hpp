@@ -205,7 +205,9 @@ class CircuitBreaker {
 /// function of (seed, identity, attempt), never of wall time or thread
 /// scheduling. Attempts and per-key builds at index >= max_faulty_attempts
 /// are always clean, bounding the blast radius so every retryable query
-/// completes within a finite retry budget.
+/// completes within a finite retry budget. A key's build index counts its
+/// failed builds before its first clean one; rebuilds after that (cache
+/// evictions, whose timing follows scheduling) are never failed.
 struct ServiceFaultPlan {
   std::uint64_t seed = 0xC4A05C4A05ULL;
   double query_kill_p = 0.0;     // inject a rank kill into an attempt's run

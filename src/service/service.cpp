@@ -808,17 +808,26 @@ void DetectionService::supervisor_loop() {
 
 void DetectionService::guard_build(const std::string& key,
                                    const std::string& graph_name) {
+  if (!chaos_.armed()) return;
   std::uint64_t index = 0;
+  bool fail = false;
   {
     std::lock_guard lock(m_);
-    index = build_attempts_[key]++;
-  }
-  if (chaos_.armed() && chaos_.should_fail_build(key, index)) {
-    {
-      std::lock_guard lock(m_);
+    // The draws of a key stop at its first clean build. A rebuild after an
+    // LRU eviction happens or not as the workers happen to be scheduled, so
+    // drawing on it would make the injected failures depend on scheduling.
+    // Single-flight makes the failed builds before the first clean one a
+    // sequence per key: build `index` is the key's index-th draw.
+    std::uint64_t& draws = build_attempts_[key];
+    index = draws;
+    fail = index != kBuildSettled && chaos_.should_fail_build(key, index);
+    draws = fail ? index + 1 : kBuildSettled;
+    if (fail) {
       ++chaos_build_failures_;
       note_build_failure_locked(graph_name);
     }
+  }
+  if (fail) {
     MIDAS_TRACE_COUNT("service.chaos_build_failures", 1);
     throw InjectedBuildFailureError(key, index);
   }

@@ -392,6 +392,9 @@ class DetectionService {
   std::size_t executing_ = 0;     // busy workers
   std::size_t workers_alive_ = 0;
   std::uint64_t dequeues_ = 0;    // chaos worker-kill decision index
+  // Chaos build draws per key: failed builds so far, or kBuildSettled
+  // once the key has built clean (see guard_build).
+  static constexpr std::uint64_t kBuildSettled = ~std::uint64_t{0};
   std::unordered_map<std::string, std::uint64_t> build_attempts_;
   std::unordered_map<std::string, std::uint64_t> flip_attempts_;
   std::uint64_t submitted_ = 0, executed_ = 0, deduped_ = 0, rejected_ = 0,

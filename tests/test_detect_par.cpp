@@ -285,20 +285,27 @@ TEST(ParKPath, RejectsBadConfigurations) {
                std::invalid_argument);
 }
 
-TEST(ParWeighted, BitslicedKernelRequestIsAnOptionsError) {
-  // The weighted engine has no bit-sliced phase: an explicit request is
-  // rejected instead of silently running scalar; auto runs scalar.
+TEST(ParWeighted, BitslicedKernelRunEqualsScalar) {
+  // The weighted engine runs the k-path body at width max_weight + 1: an
+  // explicit bit-sliced request runs its bit-sliced kernel, with the
+  // scalar run's table, clock and traffic.
   gf::GF256 f;
   const Graph g = fixtures::gnp(10, 0.3, 17);
-  const std::vector<std::uint32_t> w(g.num_vertices(), 1);
+  Xoshiro256 rng(18);
+  std::vector<std::uint32_t> w(g.num_vertices());
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.below(3));
   const auto part = partition::block_partition(g, 2);
   MidasOptions o = par_opts(3, 4, 2, 4);
   o.max_rounds = 2;
+  o.kernel = Kernel::kScalar;
+  const auto want = midas_weighted_kpath(g, part, w, o, f);
   o.kernel = Kernel::kBitsliced;
-  EXPECT_THROW((void)midas_weighted_kpath(g, part, w, o, f),
-               InvalidOptionsError);
-  o.kernel = Kernel::kAuto;
-  EXPECT_NO_THROW((void)midas_weighted_kpath(g, part, w, o, f));
+  const auto got = midas_weighted_kpath(g, part, w, o, f);
+  EXPECT_EQ(got.feasible_weight, want.feasible_weight);
+  EXPECT_EQ(got.max_weight, want.max_weight);
+  EXPECT_EQ(got.vtime, want.vtime);
+  EXPECT_EQ(got.total_stats.messages_sent, want.total_stats.messages_sent);
+  EXPECT_EQ(got.total_stats.bytes_sent, want.total_stats.bytes_sent);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,8 +394,8 @@ MidasOptions golden_opts(int k, std::uint64_t seed, Kernel kernel,
 //   ktree      0x36aab440bc12b384  (both kernels)
 //   scan       0x98c013764a38db73  (both kernels)
 //   motif      0x1f52e7096b278c54  (both kernels)
-//   weighted   0x28270618c1106bc9
-//   scan2d     0x25864e281e85bb64  (table only)
+//   weighted   0x28270618c1106bc9  (both kernels)
+//   scan2d     0x25864e281e85bb64  (both kernels; table only)
 TEST(EngineGolden, CleanRunsMatchTheRecordedDigests) {
   const std::map<std::string, std::uint64_t> expected = {
       {"kpath/scalar", 0xb7c50f9068060384ULL},
@@ -401,8 +408,10 @@ TEST(EngineGolden, CleanRunsMatchTheRecordedDigests) {
       {"scan/bitsliced", 0x98c013764a38db73ULL},
       {"motif/scalar", 0x1f52e7096b278c54ULL},
       {"motif/bitsliced", 0x1f52e7096b278c54ULL},
-      {"weighted", 0x28270618c1106bc9ULL},
-      {"scan2d", 0x25864e281e85bb64ULL},
+      {"weighted/scalar", 0x28270618c1106bc9ULL},
+      {"weighted/bitsliced", 0x28270618c1106bc9ULL},
+      {"scan2d/scalar", 0x25864e281e85bb64ULL},
+      {"scan2d/bitsliced", 0x25864e281e85bb64ULL},
   };
   gf::GF256 f;
   std::map<std::string, std::uint64_t> got;
@@ -423,6 +432,8 @@ TEST(EngineGolden, CleanRunsMatchTheRecordedDigests) {
   const auto colors = fixtures::draw_colors(16, 2, 5);
   const std::vector<std::uint32_t> motif{0, 1, 0};
   const auto mpart = partition::block_partition(mg, 2);
+  std::vector<std::uint32_t> base(sg.num_vertices());
+  for (auto& x : base) x = 1 + static_cast<std::uint32_t>(rng.below(2));
 
   for (const Kernel kernel : {Kernel::kScalar, Kernel::kBitsliced}) {
     const std::string kn =
@@ -464,30 +475,28 @@ TEST(EngineGolden, CleanRunsMatchTheRecordedDigests) {
       d.add_snapshots(o.checkpoint.dir);
       got["motif" + kn] = d.digest();
     }
-  }
-  {
-    Golden d;
-    const auto o = golden_opts(4, 82, Kernel::kAuto, golden_dir("weighted"));
-    const auto r = midas_weighted_kpath(sg, spart, w, o, f);
-    d.add_table({r.feasible_weight});
-    d.add(r.max_weight.value_or(~0u));
-    d.add_stats(r.total_stats);
-    d.add_snapshots(o.checkpoint.dir);
-    got["weighted"] = d.digest();
-  }
-  {
-    Golden d;
-    Scan2DOptions so;
-    so.max_size = 3;
-    so.max_baseline = 5;
-    so.seed = 83;
-    so.max_rounds = 3;
-    std::vector<std::uint32_t> base(sg.num_vertices());
-    for (auto& x : base) x = 1 + static_cast<std::uint32_t>(rng.below(2));
-    d.add_table(
-        midas_scan2d(sg, spart, base, w, so, par_opts(3, 4, 2, 2), f)
-            .feasible);
-    got["scan2d"] = d.digest();
+    {
+      Golden d;
+      const auto o = golden_opts(4, 82, kernel, golden_dir("weighted" + kn));
+      const auto r = midas_weighted_kpath(sg, spart, w, o, f);
+      d.add_table({r.feasible_weight});
+      d.add(r.max_weight.value_or(~0u));
+      d.add_stats(r.total_stats);
+      d.add_snapshots(o.checkpoint.dir);
+      got["weighted" + kn] = d.digest();
+    }
+    {
+      Golden d;
+      Scan2DOptions so;
+      so.max_size = 3;
+      so.max_baseline = 5;
+      so.seed = 83;
+      so.max_rounds = 3;
+      MidasOptions o = par_opts(3, 4, 2, 2);
+      o.kernel = kernel;
+      d.add_table(midas_scan2d(sg, spart, base, w, so, o, f).feasible);
+      got["scan2d" + kn] = d.digest();
+    }
   }
 
   for (const auto& [name, value] : expected)

@@ -22,6 +22,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
+#include "partition/partition.hpp"
 #include "partition/partitioned_graph.hpp"
 #include "util/rng.hpp"
 
@@ -645,23 +646,34 @@ TEST(SeqDriver, ScanBothKernelsAgreeWithBruteForce) {
   }
 }
 
-TEST(SeqDriver, ScalarOnlyRecurrencesAgreeWithBruteForce) {
-  // Weighted k-path and scan2d have no bit-sliced body: the driver runs
-  // their scalar body whatever the request.
+/// Phase batches that put every plane word under the weighted bodies at
+/// k = 7 (128 iterations): uint8_t, uint16_t, uint32_t, uint64_t and two
+/// uint64_t blocks. Other sizes run one batch of min(2^k, 64).
+constexpr std::uint32_t kPlaneWordN2[] = {4, 16, 32, 64, 128};
+
+TEST(SeqDriver, WeightedRecurrencesBothKernelsAgreeWithBruteForce) {
+  // Weighted k-path runs the k-path body at width > 1 and scan2d the scan
+  // body at bw > 1. Both kernels give one table: weighted k-path
+  // sequentially (opt.kernel) and both on the engine (MidasOptions::kernel)
+  // at every plane word, and the tables equal brute force.
   const gf::GF256 f;
   for (const Graph& g : driver_graphs()) {
     const graph::VertexId n = g.num_vertices();
     const auto w = driver_weights(n);
+    std::vector<std::uint32_t> b(n, 0);
+    b[0] = b[n / 2] = 1;
+    const auto part = partition::block_partition(g, 2);
     for (const int k : kDriverKs) {
-      const DetectOptions o = driver_opts(k, Kernel::kAuto, 120 + k);
-      const auto got = max_weight_kpath_seq(g, w, k, o, f);
-      EXPECT_EQ(got.max_weight, baseline::max_weight_kpath(g, w, k))
+      const auto o_scalar = driver_opts(k, Kernel::kScalar, 120 + k);
+      const auto scalar = max_weight_kpath_seq(g, w, k, o_scalar, f);
+      const auto sliced = max_weight_kpath_seq(
+          g, w, k, driver_opts(k, Kernel::kBitsliced, 120 + k), f);
+      EXPECT_EQ(scalar.feasible_weight, sliced.feasible_weight) << "k=" << k;
+      EXPECT_EQ(sliced.max_weight, baseline::max_weight_kpath(g, w, k))
           << "k=" << k;
 
       // scan2d: every connected set of <= k vertices under the baseline
       // cap marks its (baseline, weight) cell.
-      std::vector<std::uint32_t> b(n, 0);
-      b[0] = b[n / 2] = 1;
       Scan2DOptions s;
       s.max_size = k;
       s.max_baseline = 1;
@@ -680,6 +692,26 @@ TEST(SeqDriver, ScalarOnlyRecurrencesAgreeWithBruteForce) {
             if (by <= s.max_baseline) truth[by][wz] = true;
           });
       EXPECT_EQ(table.feasible, truth) << "k=" << k;
+
+      for (const std::uint32_t n2 : kPlaneWordN2) {
+        if (k != 7 && n2 != 64) continue;
+        MidasOptions m;
+        m.k = k;
+        m.epsilon = o_scalar.epsilon;
+        m.seed = o_scalar.seed;
+        m.early_exit = false;
+        m.n_ranks = 2;
+        m.n1 = 2;
+        m.n2 = n2;
+        for (const Kernel kernel : {Kernel::kScalar, Kernel::kBitsliced}) {
+          m.kernel = kernel;
+          EXPECT_EQ(midas_weighted_kpath(g, part, w, m, f).feasible_weight,
+                    scalar.feasible_weight)
+              << "k=" << k << " n2=" << n2;
+          EXPECT_EQ(midas_scan2d(g, part, b, w, s, m, f).feasible, truth)
+              << "k=" << k << " n2=" << n2;
+        }
+      }
     }
   }
 }

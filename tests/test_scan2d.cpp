@@ -226,9 +226,16 @@ TEST(Scan2D, ChannelFaultsCostTimeNotTheTable) {
 
 TEST(Scan2D, BadOptionsAreTypedOptionsErrors) {
   const Scan2DFixture fx;
+  // An explicit bit-sliced request is no options error: scan2d runs the
+  // scan body's bit-sliced kernel, with the scalar run's table and clock.
+  MidasOptions scalar = fx.mopt;
+  scalar.kernel = Kernel::kScalar;
   MidasOptions bits = fx.mopt;
-  bits.kernel = Kernel::kBitsliced;  // scan2d has no bit-sliced phase
-  EXPECT_THROW((void)fx.run(bits), InvalidOptionsError);
+  bits.kernel = Kernel::kBitsliced;
+  const auto want = fx.run(scalar);
+  const auto got = fx.run(bits);
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.vtime, want.vtime);
   MidasOptions arity = fx.mopt;
   arity.n1 = 4;
   EXPECT_THROW((void)fx.run(arity), InvalidOptionsError);

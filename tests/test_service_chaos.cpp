@@ -283,9 +283,11 @@ TEST(ServiceChaos, IdenticalRerunReproducesAnswersAndInjectedFailures) {
     expect_same_answer(a.results[i], b.results[i], specs[i]);
   }
   // Forced build failures are a pure function of (seed, key, per-key build
-  // index) and per-key build indices are sequential under single-flight, so
+  // index); a key's build indices are sequential under single-flight and
+  // stop at its first clean build, so eviction rebuilds draw nothing and
   // the injected-failure count is rerun-stable even though *which* ticket
-  // observes each failure is scheduling-dependent.
+  // observes each failure, and how often a key is rebuilt, is
+  // scheduling-dependent.
   EXPECT_EQ(a.stats.chaos_build_failures, b.stats.chaos_build_failures);
   EXPECT_EQ(a.stats.failed, 0u);
   EXPECT_EQ(b.stats.failed, 0u);
